@@ -1,7 +1,14 @@
 """Heterogeneity-aware metric learning on (identity, domain)-labeled features."""
 
 from .data import Dataset, Sample, SynthConfig, generate_synthetic, load_manifest
-from .loss import EmbeddingTuple, Margins, hetero_loss, hetero_loss_grad, triplet_loss
+from .loss import (
+    EmbeddingTuple,
+    Margins,
+    hetero_loss,
+    hetero_loss_grad,
+    triplet_loss,
+    triplet_loss_grad,
+)
 from .net import AdamState, EmbeddingNet, NetConfig, forward, init_net
 from .sampler import TupleSpec, build_index, sample_tuple
 from .train import TrainConfig, train
@@ -27,4 +34,5 @@ __all__ = [
     "sample_tuple",
     "train",
     "triplet_loss",
+    "triplet_loss_grad",
 ]

@@ -5,6 +5,10 @@ within-domain and cross-domain terms, their sum, and analytic
 subgradients with respect to every participating embedding. Distances
 are squared Euclidean throughout; each hinge is clipped to 0
 independently and contributes gradient only when strictly active.
+
+Inputs may carry leading batch dimensions: vectors (..., D), negative
+sets (..., K, D) or lists of K vectors; values and gradients then come
+batch-shaped. One kernel, `_hinge`, serves every loss.
 """
 
 from __future__ import annotations
@@ -33,31 +37,27 @@ class EmbeddingTuple:
     """Anchor, same/cross-domain positives, and per-domain negative sets.
 
     All negatives come from a single negative identity (enforced by the
-    sampler, not here).
+    sampler, not here). In a batch whose tuples have fewer negatives than
+    the sets' K, `n_same`/`n_cross` (batch-shaped ints) count the leading
+    negatives in use; None means all K.
     """
 
     anchor: np.ndarray
     pos_same: np.ndarray
     pos_cross: np.ndarray
-    negs_same: list[np.ndarray]
-    negs_cross: list[np.ndarray]
-
-    def validate(self):
-        if not self.negs_same or not self.negs_cross:
-            raise ValueError("negative sets must be nonempty")
-        dim = self.anchor.shape
-        for v in (self.pos_same, self.pos_cross, *self.negs_same, *self.negs_cross):
-            if v.shape != dim:
-                raise ShapeError(f"embedding shape {v.shape} != anchor shape {dim}")
+    negs_same: list[np.ndarray] | np.ndarray
+    negs_cross: list[np.ndarray] | np.ndarray
+    n_same: np.ndarray | None = None
+    n_cross: np.ndarray | None = None
 
 
 @dataclass
 class LossValue:
-    l1: float
-    l2: float
-    total: float
-    l1_active: bool
-    l2_active: bool
+    l1: np.ndarray
+    l2: np.ndarray
+    total: np.ndarray
+    l1_active: np.ndarray
+    l2_active: np.ndarray
 
 
 @dataclass
@@ -65,108 +65,119 @@ class LossGrad:
     d_anchor: np.ndarray
     d_pos_same: np.ndarray
     d_pos_cross: np.ndarray
-    d_negs_same: list[np.ndarray]
-    d_negs_cross: list[np.ndarray]
+    d_negs_same: np.ndarray
+    d_negs_cross: np.ndarray
 
 
-def _sqdist(x: np.ndarray, y: np.ndarray) -> float:
+def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeError(f"dim mismatch {x.shape} vs {y.shape}")
     d = x - y
-    return float(d @ d)
+    # A stacked matmul takes the same dot product as `d @ d`, bit for bit.
+    return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-def triplet_loss(anchor, positive, negative, alpha: float) -> float:
-    """max(0, d2(a,p) - d2(a,n) + alpha) with squared Euclidean d2."""
-    return max(0.0, _sqdist(anchor, positive) - _sqdist(anchor, negative) + alpha)
-
-
-def mean_embedding(vectors) -> np.ndarray:
-    """Component-wise mean of a nonempty set of equal-dim vectors.
-
-    Summation runs in a canonical (lexicographically sorted) order so the
-    result is bit-identical under any permutation of the input.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("mean_embedding of empty set")
-    dim = vectors[0].shape
-    for v in vectors[1:]:
-        if v.shape != dim:
+def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
+    """(..., K, D) vectors, from an array or a list of K equal-shape vectors,
+    and the (..., K) mask of those in use: the first `count` of each set."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = list(vectors)
+        if any(v.shape != vectors[0].shape for v in vectors):
             raise ShapeError("mean_embedding over mixed dims")
-    stack = np.stack(vectors)
-    order = np.lexsort(stack.T[::-1])
-    return stack[order].sum(axis=0) / len(vectors)
+        vectors = np.stack(vectors, axis=-2) if vectors else np.empty((0, 0))
+    if vectors.ndim < 2 or vectors.shape[-2] == 0:
+        raise ValueError("mean_embedding of empty set")
+    if count is None:
+        return vectors, np.ones(vectors.shape[:-1], dtype=bool)
+    in_use = np.arange(vectors.shape[-2]) < np.asarray(count)[..., None]
+    if in_use.shape != vectors.shape[:-1] or not in_use[..., 0].all():
+        raise ValueError("each negative set needs a count >= 1")
+    return vectors, in_use
 
 
-def loss_l1(tup: EmbeddingTuple, alpha1: float) -> float:
+def mean_embedding(vectors, count=None) -> np.ndarray:
+    """Component-wise mean of each nonempty set of equal-dim vectors.
+
+    `vectors` is (..., K, D) or a list of K vectors; with `count`, only the
+    first count[...] vectors of each set take part. Each set is summed in a
+    canonical (lexicographically sorted) order, one after another, so the
+    result is bit-identical under any permutation of a set's vectors.
+    """
+    stack, in_use = _as_set(vectors, count)
+    *batch, k, dim = stack.shape
+    in_use = in_use.reshape(-1, k)
+    rows = stack.reshape(-1, dim)
+    sets = np.arange(len(in_use)).repeat(k)
+    # One sort for the whole batch: by set, then vectors in use first, then
+    # lexicographically by component.
+    order = np.lexsort((*rows.T[::-1], ~in_use.ravel(), sets))
+    ordered = rows[order].reshape(-1, k, dim)
+    n = in_use.sum(axis=1, keepdims=True)
+    total = ordered[:, 0]
+    for j in range(1, k):
+        total = np.where(j < n, total + ordered[:, j], total)
+    return (total / n).reshape(*batch, dim)
+
+
+def _hinge(anchor, pos, negs, count, alpha: float):
+    """max(0, d2(a,p) - d2(a, mean negative) + alpha) and its subgradients.
+
+    Returns (loss, d_anchor, d_pos, d_negs). A NaN argument stays NaN. An
+    inactive hinge (argument <= 0) has zero gradient; each negative in use
+    receives 1/k of the mean's gradient.
+    """
+    negs, in_use = _as_set(negs, count)
+    m = mean_embedding(negs, count)
+    loss = np.maximum(0.0, _sqdist(anchor, pos) - _sqdist(anchor, m) + alpha)
+    on = (loss > 0)[..., None]
+    d_anchor = np.where(on, 2.0 * (m - pos), 0.0)
+    d_pos = np.where(on, -2.0 * (anchor - pos), 0.0)
+    per_neg = np.where(on, 2.0 * (anchor - m) / in_use.sum(axis=-1)[..., None], 0.0)
+    d_negs = np.where(in_use[..., None], per_neg[..., None, :], 0.0)
+    return loss, d_anchor, d_pos, d_negs
+
+
+def triplet_loss(anchor, positive, negative, alpha: float):
+    """max(0, d2(a,p) - d2(a,n) + alpha) with squared Euclidean d2."""
+    return triplet_loss_grad(anchor, positive, negative, alpha)[0]
+
+
+def triplet_loss_grad(anchor, positive, negative, alpha: float):
+    """Loss and subgradients (val, d_a, d_p, d_n) of the single-negative baseline."""
+    negs = np.asarray(negative)[..., None, :]
+    val, d_a, d_p, d_negs = _hinge(anchor, positive, negs, None, alpha)
+    return val, d_a, d_p, d_negs[..., 0, :]
+
+
+def loss_l1(tup: EmbeddingTuple, alpha1: float):
     """Within-domain term: anchor vs same-domain positive vs mean same-domain negative."""
-    tup.validate()
-    m = mean_embedding(tup.negs_same)
-    return max(0.0, _sqdist(tup.anchor, tup.pos_same) - _sqdist(tup.anchor, m) + alpha1)
+    return _hinge(tup.anchor, tup.pos_same, tup.negs_same, tup.n_same, alpha1)[0]
 
 
-def loss_l2(tup: EmbeddingTuple, alpha2: float) -> float:
+def loss_l2(tup: EmbeddingTuple, alpha2: float):
     """Cross-domain term: anchor vs cross-domain positive vs mean cross-domain negative."""
-    tup.validate()
-    m = mean_embedding(tup.negs_cross)
-    return max(0.0, _sqdist(tup.anchor, tup.pos_cross) - _sqdist(tup.anchor, m) + alpha2)
+    return _hinge(tup.anchor, tup.pos_cross, tup.negs_cross, tup.n_cross, alpha2)[0]
 
 
 def hetero_loss(tup: EmbeddingTuple, margins: Margins) -> LossValue:
     """Both hinge terms, clipped independently, and their sum."""
-    l1 = loss_l1(tup, margins.alpha1)
-    l2 = loss_l2(tup, margins.alpha2)
-    return LossValue(l1=l1, l2=l2, total=l1 + l2, l1_active=l1 > 0, l2_active=l2 > 0)
+    return hetero_loss_grad(tup, margins)[0]
 
 
 def hetero_loss_grad(tup: EmbeddingTuple, margins: Margins) -> tuple[LossValue, LossGrad]:
-    """Loss plus analytic subgradients w.r.t. every embedding in the tuple.
-
-    An inactive hinge (argument <= 0) contributes nothing; each negative in
-    a mean receives 1/k of the mean's gradient.
-    """
-    value = hetero_loss(tup, margins)
-    a = tup.anchor
-    d_anchor = np.zeros_like(a)
-    d_pos_same = np.zeros_like(a)
-    d_pos_cross = np.zeros_like(a)
-    d_negs_same = [np.zeros_like(a) for _ in tup.negs_same]
-    d_negs_cross = [np.zeros_like(a) for _ in tup.negs_cross]
-
-    if value.l1_active:
-        m1 = mean_embedding(tup.negs_same)
-        d_anchor += 2.0 * (m1 - tup.pos_same)
-        d_pos_same = -2.0 * (a - tup.pos_same)
-        per_neg = 2.0 * (a - m1) / len(tup.negs_same)
-        for g in d_negs_same:
-            g += per_neg
-    if value.l2_active:
-        m2 = mean_embedding(tup.negs_cross)
-        d_anchor += 2.0 * (m2 - tup.pos_cross)
-        d_pos_cross = -2.0 * (a - tup.pos_cross)
-        per_neg = 2.0 * (a - m2) / len(tup.negs_cross)
-        for g in d_negs_cross:
-            g += per_neg
-
+    """Loss plus analytic subgradients w.r.t. every embedding in the tuple."""
+    l1, d_a1, d_pos_same, d_negs_same = _hinge(
+        tup.anchor, tup.pos_same, tup.negs_same, tup.n_same, margins.alpha1
+    )
+    l2, d_a2, d_pos_cross, d_negs_cross = _hinge(
+        tup.anchor, tup.pos_cross, tup.negs_cross, tup.n_cross, margins.alpha2
+    )
+    value = LossValue(l1=l1, l2=l2, total=l1 + l2, l1_active=l1 > 0, l2_active=l2 > 0)
     grad = LossGrad(
-        d_anchor=d_anchor,
+        d_anchor=d_a1 + d_a2,
         d_pos_same=d_pos_same,
         d_pos_cross=d_pos_cross,
         d_negs_same=d_negs_same,
         d_negs_cross=d_negs_cross,
     )
     return value, grad
-
-
-def triplet_loss_grad(anchor, positive, negative, alpha: float):
-    """Loss and subgradients for the single-negative triplet baseline."""
-    val = triplet_loss(anchor, positive, negative, alpha)
-    d_a = np.zeros_like(anchor)
-    d_p = np.zeros_like(anchor)
-    d_n = np.zeros_like(anchor)
-    if val > 0:
-        d_a = 2.0 * (negative - positive)
-        d_p = -2.0 * (anchor - positive)
-        d_n = 2.0 * (anchor - negative)
-    return val, d_a, d_p, d_n

@@ -116,7 +116,7 @@ def _compose(index, rng, spec, a, b, p, q) -> SampledTuple:
 def sample_tuple(
     index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec
 ) -> SampledTuple:
-    """Draw one training tuple: bounded rejection sampling, then a full scan."""
+    """Draw one training tuple: bounded rejection sampling, then an exact draw."""
     if len(index.identities) < 2:
         raise InfeasibleError("index has fewer than 2 identities")
     pairs = _domain_pairs(index, spec)
@@ -132,17 +132,17 @@ def sample_tuple(
             continue
         return _compose(index, rng, spec, a, b, p, q)
 
-    # Deterministic feasibility scan, tracking how far constraints get.
-    saw_anchor = False
+    # Rejection kept missing: draw uniformly from every feasible
+    # (pair, anchor, negative), the distribution the loop above targets.
+    feasible = []
     for p, q in pairs:
-        for a in idents:
-            if not _anchor_ok(index, a, p, q):
-                continue
-            saw_anchor = True
-            for b in idents:
-                if b != a and _negative_ok(index, b, p, q):
-                    return _compose(index, rng, spec, a, b, p, q)
-    if saw_anchor:
+        negatives = [b for b in idents if _negative_ok(index, b, p, q)]
+        anchors = [a for a in idents if _anchor_ok(index, a, p, q)]
+        feasible += [(a, b, p, q) for a in anchors for b in negatives if b != a]
+    if feasible:
+        a, b, p, q = feasible[rng.integers(len(feasible))]
+        return _compose(index, rng, spec, a, b, p, q)
+    if any(_anchor_ok(index, a, p, q) for p, q in pairs for a in idents):
         raise InfeasibleError(
             "no negative identity has samples in both domains of any feasible pair"
         )

@@ -28,7 +28,7 @@ from .sampler import SampledTuple, TupleSpec, build_index, epoch_tuples
 
 
 class NumericalError(RuntimeError):
-    """Loss or gradient became non-finite during training."""
+    """Loss, gradient or updated parameter became non-finite during training."""
 
 
 @dataclass
@@ -75,84 +75,73 @@ class TrainConfig:
             raise ValueError("epochs/tuples_per_epoch/batch_size out of range")
 
 
-def _tuple_sample_ids(tup: SampledTuple, baseline: bool) -> list[int]:
-    if baseline:
-        return [tup.anchor_id, tup.pos_same_id, tup.neg_same_ids[0]]
-    return [
-        tup.anchor_id,
-        tup.pos_same_id,
-        tup.pos_cross_id,
-        *tup.neg_same_ids,
-        *tup.neg_cross_ids,
-    ]
+def _seq_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, the order a running per-tuple total adds in."""
+    return float(np.cumsum(values)[-1])
 
 
 def _batch_step(
     net: EmbeddingNet,
-    features: dict[int, np.ndarray],
+    features: np.ndarray,
+    row_of: dict[int, int],
     batch: list[SampledTuple],
     margins: Margins,
     baseline: bool,
 ):
-    """Returns (param grads, sum loss, sum l1, sum l2, active hinges, total hinges)."""
-    # Forward every occurrence in one vectorized pass; shared samples appear
-    # once per occurrence, which sums their gradient contributions naturally.
-    ids: list[int] = []
-    offsets = []
-    for tup in batch:
-        tup_ids = _tuple_sample_ids(tup, baseline)
-        offsets.append((len(ids), len(tup_ids)))
-        ids.extend(tup_ids)
-    X = np.stack([features[i] for i in ids])
-    E = forward_batch(net, X)
+    """Returns (param grads, sum loss, sum l1, sum l2, active hinges, total hinges).
+
+    Each tuple fills a row of slots: anchor, same- and cross-domain
+    positives, then its same- and cross-domain negatives, padded to the
+    batch's largest sets. The baseline uses only the anchor, the same-domain
+    positive and the first same-domain negative. Every slot in use is one
+    forward row, in slot order, so a sample in two slots sums both gradients.
+    """
+    n_same = np.array([len(t.neg_same_ids) for t in batch])
+    n_cross = np.array([len(t.neg_cross_ids) for t in batch])
+    k1, k2 = n_same.max(), n_cross.max()
+    same, cross = slice(3, 3 + k1), slice(3 + k1, None)
+    ids = np.array([
+        [t.anchor_id, t.pos_same_id, t.pos_cross_id,
+         *t.neg_same_ids, *[-1] * (k1 - len(t.neg_same_ids)),
+         *t.neg_cross_ids, *[-1] * (k2 - len(t.neg_cross_ids))]
+        for t in batch
+    ])
+    in_use = np.ones(ids.shape, dtype=bool)
+    in_use[:, same] = np.arange(k1) < n_same[:, None]
+    in_use[:, cross] = np.arange(k2) < n_cross[:, None]
+    if baseline:
+        in_use[:, 2] = in_use[:, 4:] = False
+    rows = np.zeros(ids.shape, dtype=np.intp)
+    rows[in_use] = np.arange(np.count_nonzero(in_use))
+    X = features[[row_of[i] for i in ids[in_use].tolist()]]
+    E = forward_batch(net, X)[rows]
+
+    G = np.zeros_like(E)
+    if baseline:
+        a, p, n = E[:, 0], E[:, 1], E[:, 3]
+        l1, G[:, 0], G[:, 1], G[:, 3] = triplet_loss_grad(a, p, n, margins.alpha1)
+        l2 = np.zeros_like(l1)
+    else:
+        emb = EmbeddingTuple(E[:, 0], E[:, 1], E[:, 2], E[:, same], E[:, cross], n_same, n_cross)
+        val, g = hetero_loss_grad(emb, margins)
+        l1, l2 = val.l1, val.l2
+        G[:, 0], G[:, 1], G[:, 2] = g.d_anchor, g.d_pos_same, g.d_pos_cross
+        G[:, same], G[:, cross] = g.d_negs_same, g.d_negs_cross
 
     scale = 1.0 / len(batch)  # batch reduction: mean over tuples
-    G = np.zeros_like(E)
-    loss_sum = l1_sum = l2_sum = 0.0
-    active = total_hinges = 0
-    for tup, (start, count) in zip(batch, offsets):
-        if baseline:
-            a, p, n = E[start], E[start + 1], E[start + 2]
-            val, d_a, d_p, d_n = triplet_loss_grad(a, p, n, margins.alpha1)
-            loss_sum += val
-            l1_sum += val
-            active += val > 0
-            total_hinges += 1
-            G[start] += scale * d_a
-            G[start + 1] += scale * d_p
-            G[start + 2] += scale * d_n
-        else:
-            k1 = len(tup.neg_same_ids)
-            k2 = len(tup.neg_cross_ids)
-            emb = EmbeddingTuple(
-                anchor=E[start],
-                pos_same=E[start + 1],
-                pos_cross=E[start + 2],
-                negs_same=[E[start + 3 + i] for i in range(k1)],
-                negs_cross=[E[start + 3 + k1 + i] for i in range(k2)],
-            )
-            val, grad = hetero_loss_grad(emb, margins)
-            loss_sum += val.total
-            l1_sum += val.l1
-            l2_sum += val.l2
-            active += int(val.l1_active) + int(val.l2_active)
-            total_hinges += 2
-            G[start] += scale * grad.d_anchor
-            G[start + 1] += scale * grad.d_pos_same
-            G[start + 2] += scale * grad.d_pos_cross
-            for i, g in enumerate(grad.d_negs_same):
-                G[start + 3 + i] += scale * g
-            for i, g in enumerate(grad.d_negs_cross):
-                G[start + 3 + k1 + i] += scale * g
-
-    param_grads = backward(net, X, G)
-    return param_grads, loss_sum, l1_sum, l2_sum, active, total_hinges
+    param_grads = backward(net, X, scale * G[in_use])
+    active = np.count_nonzero(l1 > 0) + np.count_nonzero(l2 > 0)
+    hinges = len(batch) * (1 if baseline else 2)
+    return param_grads, _seq_sum(l1 + l2), _seq_sum(l1), _seq_sum(l2), active, hinges
 
 
+# Overflow is reported once, as a NumericalError, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, TrainingLog]:
     """Train an embedding network on the given dataset."""
     index = build_index(dataset)
-    features = {s.id: s.features for s in dataset.samples}
+    features = np.stack([s.features for s in dataset.samples])
+    row_of = {s.id: row for row, s in enumerate(dataset.samples)}
     net = init_net(config.net, config.seed)
     sampler_rng = np.random.default_rng([config.seed, 1])
     state = AdamState(learning_rate=config.learning_rate, decay=config.lr_decay)
@@ -166,18 +155,12 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, Training
         for start in range(0, len(tuples), config.batch_size):
             batch = tuples[start : start + config.batch_size]
             grads, bl, b1, b2, ba, bh = _batch_step(
-                net, features, batch, config.margins, baseline
+                net, features, row_of, batch, config.margins, baseline
             )
-            if not np.isfinite(bl):
-                raise NumericalError(f"non-finite loss in epoch {epoch}")
-            params = net.params()
-            new_params, state = adam_step(state, params, grads)
-            n_layers = len(net.weights)
-            net = EmbeddingNet(
-                config=net.config,
-                weights=[new_params[2 * i] for i in range(n_layers)],
-                biases=[new_params[2 * i + 1] for i in range(n_layers)],
-            )
+            new_params, state = adam_step(state, net.params(), grads)
+            if not (np.isfinite(bl) and all(np.isfinite(x).all() for x in grads + new_params)):
+                raise NumericalError(f"non-finite loss, gradient or parameter in epoch {epoch}")
+            net = EmbeddingNet(net.config, weights=new_params[0::2], biases=new_params[1::2])
             loss_sum += bl
             l1_sum += b1
             l2_sum += b2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,16 @@ class TestTrain:
         cfg = write(tmp_path / "run.cfg", "epochs=1\ntuples_per_epoch=5\nsplit.train_fraction=0.5\n")
         # train split keeps one identity only -> infeasible
         assert main(["train", "--config", cfg, "--data", str(data), "--out", str(tmp_path / "n.ckpt")]) == 3
+
+    def test_runaway_learning_rate_exit_4(self, tmp_path, small_manifest, capsys):
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN + "optimizer.learning_rate=1e300\n")
+        ckpt = tmp_path / "net.ckpt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would add lines to stderr
+            assert main(["train", "--config", cfg, "--data", str(small_manifest), "--out", str(ckpt)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and err.count("\n") == 1
+        assert not ckpt.exists()
 
 
 class TestEval:

@@ -12,6 +12,7 @@ from heteroembed.loss import (
     loss_l2,
     mean_embedding,
     triplet_loss,
+    triplet_loss_grad,
 )
 from heteroembed.net import ShapeError
 
@@ -225,6 +226,93 @@ class TestGradients:
                     vec[i] = old
                     fd = (f_plus - f_minus) / (2 * h)
                     assert abs(fd - g[i]) <= 1e-4 * max(1.0, abs(fd))
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def ragged_batch(rng, b, dim, k1, k2):
+    """A batch whose tuples use 1..k negatives each; unused slots hold NaN."""
+    def draw(*shape):
+        return float(rng.choice([0.2, 1.0])) * rng.standard_normal((b, *shape, dim))
+
+    n_same, n_cross = rng.integers(1, k1 + 1, size=b), rng.integers(1, k2 + 1, size=b)
+    negs_same, negs_cross = draw(k1), draw(k2)
+    negs_same[np.arange(k1) >= n_same[:, None]] = np.nan
+    negs_cross[np.arange(k2) >= n_cross[:, None]] = np.nan
+    return EmbeddingTuple(draw(), draw(), draw(), negs_same, negs_cross, n_same, n_cross)
+
+
+class TestBatched:
+    def test_equals_single_tuple_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        actives = set()
+        for _ in range(40):
+            b, dim = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            batch = ragged_batch(rng, b, dim, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            val, grad = hetero_loss_grad(batch, Margins(0.4, 0.3))
+            for i in range(b):
+                ks, kc = batch.n_same[i], batch.n_cross[i]
+                single = EmbeddingTuple(
+                    batch.anchor[i], batch.pos_same[i], batch.pos_cross[i],
+                    list(batch.negs_same[i, :ks]), list(batch.negs_cross[i, :kc]),
+                )
+                v1, g1 = hetero_loss_grad(single, Margins(0.4, 0.3))
+                for name in ("l1", "l2", "total", "l1_active", "l2_active"):
+                    assert same_bits(getattr(val, name)[i], getattr(v1, name)), name
+                assert same_bits(grad.d_anchor[i], g1.d_anchor)
+                assert same_bits(grad.d_pos_same[i], g1.d_pos_same)
+                assert same_bits(grad.d_pos_cross[i], g1.d_pos_cross)
+                assert same_bits(grad.d_negs_same[i, :ks], g1.d_negs_same)
+                assert same_bits(grad.d_negs_cross[i, :kc], g1.d_negs_cross)
+                assert np.all(grad.d_negs_same[i, ks:] == 0.0)
+                assert np.all(grad.d_negs_cross[i, kc:] == 0.0)
+                actives.add((bool(v1.l1_active), bool(v1.l2_active)))
+        assert len(actives) == 4  # every combination of active hinges was seen
+
+    def test_centroid_permutation_invariant_per_set(self):
+        rng = np.random.default_rng(12)
+        batch = ragged_batch(rng, 16, 3, 5, 1)
+        before = mean_embedding(batch.negs_same, batch.n_same)
+        for i, k in enumerate(batch.n_same):
+            # reference: one set, sorted lexicographically, summed left to right
+            rows = batch.negs_same[i, :k]
+            rows = rows[np.lexsort(rows.T[::-1])]
+            total = rows[0]
+            for r in rows[1:]:
+                total = total + r
+            assert same_bits(before[i], total / k)
+        shuffled = batch.negs_same.copy()
+        for i, k in enumerate(batch.n_same):
+            shuffled[i, :k] = shuffled[i, rng.permutation(k)]
+        assert same_bits(mean_embedding(shuffled, batch.n_same), before)
+
+    def test_triplet_is_the_hinge_with_one_negative(self):
+        rng = np.random.default_rng(13)
+        a, p, n = rng.standard_normal((3, 50, 4))
+        val, d_a, d_p, d_n = triplet_loss_grad(a, p, n, 0.4)
+        # L2 term off: the cross positive is the anchor and alpha2 = 0, so
+        # l2 = max(0, -d2(a, n)) is never active.
+        tup = EmbeddingTuple(a, p, a, n[:, None], n[:, None])
+        hv, hg = hetero_loss_grad(tup, Margins(0.4, 0.0))
+        assert not hv.l2_active.any()
+        assert same_bits(val, hv.l1)
+        assert same_bits(val, loss_l1(tup, 0.4))
+        np.testing.assert_array_equal(d_a, hg.d_anchor)
+        assert same_bits(d_p, hg.d_pos_same)
+        assert same_bits(d_n, hg.d_negs_same[:, 0])
+        for i in range(len(a)):
+            assert same_bits(val[i], triplet_loss(a[i], p[i], n[i], 0.4))
+
+    def test_non_finite_embedding_gives_nan_not_zero(self):
+        tup = EmbeddingTuple(v(np.nan, 0), v(0, 0), v(0, 0), [v(1, 0)], [v(1, 0)])
+        val = hetero_loss(tup, Margins())
+        assert np.isnan(val.l1) and np.isnan(val.total)
+        assert not val.l1_active
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert np.isnan(triplet_loss(v(np.inf), v(0.0), v(1.0), 0.4))
 
 
 def loss_arg(tup, margins, which):

@@ -96,6 +96,24 @@ class TestSampleTuple:
         for _ in range(2000):
             check_tuple(sample_tuple(index, rng, spec), index, spec)
 
+    def test_sparse_fallback_is_uniform(self):
+        # 200 identities, only 3 of them with domain B: the rejection loop
+        # nearly always gives up, and the fallback must not collapse onto
+        # one tuple. 3 anchors x 2 other negatives x 2 domain orders = 12.
+        ids = [f"i{n:03d}" for n in range(200)]
+        ds = make_dataset(ids, ["A"], 5)
+        for ident in ids[:3]:
+            for _ in range(5):
+                ds.samples.append(Sample(len(ds.samples), ident, "B", np.zeros(2)))
+        index = build_index(ds)
+        tuples = epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 2000)
+        counts = {}
+        for t in tuples:
+            key = (t.identity_a, t.identity_b, t.domain_p, t.domain_q)
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 12
+        assert max(counts.values()) <= 0.15 * 2000
+
 
 class TestEpochTuples:
     def test_empty(self):

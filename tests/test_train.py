@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from heteroembed.data import DomainShift, SynthConfig, generate_synthetic
 from heteroembed.net import NetConfig, forward_batch, init_net
-from heteroembed.train import TrainConfig, train
+from heteroembed.train import NumericalError, TrainConfig, train
 
 
 def small_dataset(seed=0):
@@ -93,3 +95,28 @@ def test_log_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,mean_loss,mean_l1,mean_l2,active_fraction,lr"
     assert len(lines) == 3
+
+
+def test_runaway_learning_rate_raises():
+    # the first Adam step moves every weight by ~1e300; the next forward
+    # overflows and the non-finite loss or gradient must stop the run
+    with pytest.raises(NumericalError):
+        train(small_dataset(), small_config(learning_rate=1e300))
+
+
+@pytest.mark.parametrize("stage", ["backward", "adam_step"])
+def test_non_finite_gradient_or_parameter_raises(monkeypatch, stage):
+    # one step in all, and its loss is finite: only the gradient or the
+    # updated-parameter check can stop the value reaching the network
+    htrain = importlib.import_module("heteroembed.train")
+    real = getattr(htrain, stage)
+
+    def poisoned(*args):
+        out = real(*args)
+        params = out[0] if stage == "adam_step" else out
+        params[0] = np.full_like(params[0], np.inf)
+        return out
+
+    monkeypatch.setattr(htrain, stage, poisoned)
+    with pytest.raises(NumericalError, match="epoch 0"):
+        train(small_dataset(), small_config(epochs=1, tuples_per_epoch=8))
