@@ -2,7 +2,7 @@
 
 Config files are flat `key=value` text with dotted keys, e.g.
 `net.embed_dim=32`. Lines starting with '#' are comments. Exit codes:
-0 success, 2 config/parse error, 3 sampler infeasibility, 4 numerical
+0 success, 2 config/parse or file error, 3 sampler infeasibility, 4 numerical
 failure, 5 shape mismatch.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .metrics import (
     write_roc_csv,
 )
 from .net import (
-    ConfigError,
     NetConfig,
     ShapeError,
     load_checkpoint,
@@ -72,16 +72,6 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _pop(cfg: dict, key: str, conv, default):
-    if key not in cfg:
-        return default
-    raw = cfg.pop(key)
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ParseError(f"config key {key!r}: bad value {raw!r}") from exc
-
-
 def _bool(raw: str) -> bool:
     if raw.lower() in ("true", "1", "yes"):
         return True
@@ -94,35 +84,78 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v.strip())
 
 
+@dataclass(frozen=True)
+class SplitConfig:
+    """How `train`, `eval` and `compare` split a manifest; the library takes both as arguments."""
+
+    train_fraction: float = 0.8  # share of identities in the training side
+    enroll_per_identity: int = 3  # gallery samples per test identity
+
+
+# Config schemas: dotted key -> (config class, field, parser). A key a file
+# leaves out keeps the field's dataclass default. Values parse in table order,
+# so the first bad value in this order is the one reported.
+SYNTH_KEYS = {
+    "synth.n_identities": (SynthConfig, "n_identities", int),
+    "synth.samples_per_identity_per_domain": (SynthConfig, "samples_per_identity_per_domain", int),
+    "synth.feature_dim": (SynthConfig, "feature_dim", int),
+    "synth.cluster_spread": (SynthConfig, "cluster_spread", float),
+    "synth.rotation_angle_degrees": (DomainShift, "rotation_angle_degrees", float),
+    "synth.offset_magnitude": (DomainShift, "offset_magnitude", float),
+    "synth.noise_scale": (DomainShift, "noise_scale", float),
+    "synth.seed": (SynthConfig, "seed", int),
+}
+
+RUN_KEYS = {
+    "net.hidden_dims": (NetConfig, "hidden_dims", _int_list),
+    "net.embed_dim": (NetConfig, "embed_dim", int),
+    "net.activation": (NetConfig, "activation", str),
+    "net.normalize_output": (NetConfig, "normalize_output", _bool),
+    "margins.alpha1": (Margins, "alpha1", float),
+    "margins.alpha2": (Margins, "alpha2", float),
+    "tuple.k": (TupleSpec, "k", int),
+    "tuple.domain_policy": (TupleSpec, "domain_policy", str),
+    "tuple.fixed_p": (TupleSpec, "fixed_p", str),
+    "tuple.fixed_q": (TupleSpec, "fixed_q", str),
+    "optimizer.learning_rate": (TrainConfig, "learning_rate", float),
+    "optimizer.decay": (TrainConfig, "lr_decay", float),
+    "epochs": (TrainConfig, "epochs", int),
+    "tuples_per_epoch": (TrainConfig, "tuples_per_epoch", int),
+    "batch_size": (TrainConfig, "batch_size", int),
+    "seed": (TrainConfig, "seed", int),
+    "loss_mode": (TrainConfig, "loss_mode", str),
+    "split.train_fraction": (SplitConfig, "train_fraction", float),
+    "split.enroll_per_identity": (SplitConfig, "enroll_per_identity", int),
+}
+
+RUN_KEYS_DOC = ", ".join(RUN_KEYS)
+
+
+def _fields(cfg: dict[str, str], schema: dict) -> dict[type, dict]:
+    """Parse the schema keys `cfg` sets into keyword arguments per config class."""
+    kwargs: dict[type, dict] = {cls: {} for cls, _, _ in schema.values()}
+    for key, (cls, name, parse) in schema.items():
+        if key in cfg:
+            try:
+                kwargs[cls][name] = parse(cfg[key])
+            except ValueError as exc:
+                raise ParseError(f"config key {key!r}: bad value {cfg[key]!r}") from exc
+    return kwargs
+
+
+def _reject_unknown(cfg: dict[str, str], schema: dict) -> None:
+    for key in cfg:
+        if key not in schema:
+            raise ParseError(f"unknown config key {key!r}")
+
+
 def synth_config_from(cfg: dict[str, str], seed_override=None) -> SynthConfig:
-    cfg = dict(cfg)
-    config = SynthConfig(
-        n_identities=_pop(cfg, "synth.n_identities", int, 50),
-        samples_per_identity_per_domain=_pop(
-            cfg, "synth.samples_per_identity_per_domain", int, 20
-        ),
-        feature_dim=_pop(cfg, "synth.feature_dim", int, 16),
-        cluster_spread=_pop(cfg, "synth.cluster_spread", float, 0.3),
-        domain_shift=DomainShift(
-            rotation_angle_degrees=_pop(cfg, "synth.rotation_angle_degrees", float, 30.0),
-            offset_magnitude=_pop(cfg, "synth.offset_magnitude", float, 1.0),
-            noise_scale=_pop(cfg, "synth.noise_scale", float, 0.1),
-        ),
-        seed=_pop(cfg, "synth.seed", int, 0),
-    )
-    _reject_unknown(cfg, allow_prefixes=())
+    kwargs = _fields(cfg, SYNTH_KEYS)
+    config = SynthConfig(domain_shift=DomainShift(**kwargs[DomainShift]), **kwargs[SynthConfig])
+    _reject_unknown(cfg, SYNTH_KEYS)
     if seed_override is not None:
         config.seed = seed_override
     return config
-
-
-RUN_KEYS_DOC = (
-    "net.hidden_dims, net.embed_dim, net.activation, net.normalize_output, "
-    "margins.alpha1, margins.alpha2, tuple.k, tuple.domain_policy, "
-    "tuple.fixed_p, tuple.fixed_q, optimizer.learning_rate, optimizer.decay, "
-    "epochs, tuples_per_epoch, batch_size, seed, loss_mode, "
-    "split.train_fraction, split.enroll_per_identity"
-)
 
 
 def run_config_from(
@@ -130,47 +163,21 @@ def run_config_from(
 ) -> tuple[TrainConfig, float, int]:
     """Build a TrainConfig plus (train_fraction, enroll_per_identity)."""
     cfg = {k: v for k, v in cfg.items() if not k.startswith("synth.")}
-    net = NetConfig(
-        input_dim=input_dim,
-        hidden_dims=_pop(cfg, "net.hidden_dims", _int_list, (32,)),
-        embed_dim=_pop(cfg, "net.embed_dim", int, 32),
-        activation=_pop(cfg, "net.activation", str, "relu"),
-        normalize_output=_pop(cfg, "net.normalize_output", _bool, True),
-    )
-    margins = Margins(
-        alpha1=_pop(cfg, "margins.alpha1", float, 0.4),
-        alpha2=_pop(cfg, "margins.alpha2", float, 0.4),
-    )
-    tuple_spec = TupleSpec(
-        k=_pop(cfg, "tuple.k", int, 4),
-        domain_policy=_pop(cfg, "tuple.domain_policy", str, "uniform_pair"),
-        fixed_p=_pop(cfg, "tuple.fixed_p", str, None),
-        fixed_q=_pop(cfg, "tuple.fixed_q", str, None),
-    )
+    kwargs = _fields(cfg, RUN_KEYS)
+    # The CLI trains one hidden layer where the library's NetConfig is linear:
+    # the benchmark's workloads use this default, the acceptance pins the library's.
+    kwargs[NetConfig].setdefault("hidden_dims", (32,))
     config = TrainConfig(
-        net=net,
-        margins=margins,
-        tuple_spec=tuple_spec,
-        learning_rate=_pop(cfg, "optimizer.learning_rate", float, 1e-3),
-        lr_decay=_pop(cfg, "optimizer.decay", float, 1.0),
-        epochs=_pop(cfg, "epochs", int, 30),
-        tuples_per_epoch=_pop(cfg, "tuples_per_epoch", int, 2000),
-        batch_size=_pop(cfg, "batch_size", int, 32),
-        seed=_pop(cfg, "seed", int, 42),
-        loss_mode=_pop(cfg, "loss_mode", str, "hetero"),
+        net=NetConfig(input_dim=input_dim, **kwargs[NetConfig]),
+        margins=Margins(**kwargs[Margins]),
+        tuple_spec=TupleSpec(**kwargs[TupleSpec]),
+        **kwargs[TrainConfig],
     )
-    train_fraction = _pop(cfg, "split.train_fraction", float, 0.8)
-    enroll = _pop(cfg, "split.enroll_per_identity", int, 3)
-    _reject_unknown(cfg, allow_prefixes=())
+    split = SplitConfig(**kwargs[SplitConfig])
+    _reject_unknown(cfg, RUN_KEYS)
     if seed_override is not None:
         config.seed = seed_override
-    return config, train_fraction, enroll
-
-
-def _reject_unknown(cfg: dict, allow_prefixes):
-    for key in cfg:
-        if not any(key.startswith(p) for p in allow_prefixes):
-            raise ParseError(f"unknown config key {key!r}")
+    return config, split.train_fraction, split.enroll_per_identity
 
 
 # --- evaluation protocols ---------------------------------------------------
@@ -229,23 +236,22 @@ def cmd_synth(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     config = synth_config_from(cfg, seed_override=args.seed)
     dataset = generate_synthetic(config)
-    try:
-        save_manifest(dataset, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    save_manifest(dataset, args.out)
     print(f"samples={len(dataset)}")
     print(f"identities={len(dataset.identities())}")
     print(f"domains={len(dataset.domains())}")
     return 0
 
 
-def cmd_train(args) -> int:
+def _run_inputs(args) -> tuple[Dataset, TrainConfig, float, int]:
+    """Load `--data`, then build the run config from `--config` and `--seed`."""
     dataset = load_manifest(args.data)
     cfg = parse_config_file(args.config) if args.config else {}
-    config, train_fraction, _ = run_config_from(
-        cfg, dataset.feature_dim, seed_override=args.seed
-    )
+    return (dataset, *run_config_from(cfg, dataset.feature_dim, seed_override=args.seed))
+
+
+def cmd_train(args) -> int:
+    dataset, config, train_fraction, _ = _run_inputs(args)
     train_set, _ = split_by_identity(dataset, train_fraction, config.seed)
     net, log = train(train_set, config)
     save_checkpoint(net, args.out)
@@ -260,18 +266,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_checkpoint(args.checkpoint)
-    dataset = load_manifest(args.data)
+    dataset, config, train_fraction, enroll = _run_inputs(args)
     if dataset.feature_dim != net.config.input_dim:
-        print(
-            f"error: data feature_dim {dataset.feature_dim} != checkpoint "
-            f"input_dim {net.config.input_dim}",
-            file=sys.stderr,
+        raise ShapeError(
+            f"data feature_dim {dataset.feature_dim} != checkpoint "
+            f"input_dim {net.config.input_dim}"
         )
-        return EXIT_SHAPE
-    cfg = parse_config_file(args.config) if args.config else {}
-    config, train_fraction, enroll = run_config_from(
-        cfg, dataset.feature_dim, seed_override=args.seed
-    )
     _, test_set = split_by_identity(dataset, train_fraction, config.seed)
     ident, verif, dist, probe_labels, gal_labels = evaluate_enroll_probe(
         net, test_set, enroll, config.seed
@@ -297,19 +297,7 @@ def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, en
         raise InfeasibleError("compare needs at least 2 domains")
     results: dict[str, float] = {}
     for mode in ("triplet_baseline", "hetero"):
-        mode_cfg = TrainConfig(
-            net=config.net,
-            margins=config.margins,
-            tuple_spec=config.tuple_spec,
-            learning_rate=config.learning_rate,
-            lr_decay=config.lr_decay,
-            epochs=config.epochs,
-            tuples_per_epoch=config.tuples_per_epoch,
-            batch_size=config.batch_size,
-            seed=config.seed,
-            loss_mode=mode,
-        )
-        net, log = train(train_set, mode_cfg)
+        net, log = train(train_set, replace(config, loss_mode=mode))
         key = "baseline" if mode == "triplet_baseline" else "hetero"
         if log.records:
             results[f"{key}.first_epoch_loss"] = log.records[0].mean_loss
@@ -330,11 +318,7 @@ def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, en
 
 
 def cmd_compare(args) -> int:
-    dataset = load_manifest(args.data)
-    cfg = parse_config_file(args.config) if args.config else {}
-    config, train_fraction, enroll = run_config_from(
-        cfg, dataset.feature_dim, seed_override=args.seed
-    )
+    dataset, config, train_fraction, enroll = _run_inputs(args)
     results = run_compare(dataset, config, train_fraction, enroll)
     for key in sorted(results):
         print(f"{key}={results[key]:.9g}")
@@ -349,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic two-domain manifest")
-    p.add_argument("--config", help="flat key=value config file (synth.* keys)")
+    p.add_argument("--config", help=f"flat key=value config ({', '.join(SYNTH_KEYS)})")
     p.add_argument("--out", required=True, help="output .hem manifest path")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.set_defaults(func=cmd_synth)
@@ -364,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help="flat key=value config (split.* keys)")
+    p.add_argument("--config", help=f"flat key=value config ({RUN_KEYS_DOC})")
     p.add_argument("--data", required=True, help="input .hem manifest")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--roc-out", help="write the ROC curve CSV here")
@@ -383,20 +367,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError, ValueError) as exc:
+    except (ValueError, NumericalError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ShapeError):
-            print(f"error: {exc}", file=sys.stderr)
             return EXIT_SHAPE
         if isinstance(exc, InfeasibleError):
-            print(f"error: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NumericalError):
+            return EXIT_NUMERICAL
         return EXIT_CONFIG
 
 

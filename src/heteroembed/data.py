@@ -112,7 +112,22 @@ def load_manifest(path) -> Dataset:
 
 
 def save_manifest(dataset: Dataset, path) -> None:
-    """Write a Dataset as a `.hem` manifest (17 significant digits, round-trip exact)."""
+    """Write a Dataset as a `.hem` manifest (17 significant digits, round-trip exact).
+
+    Raises ParseError, before the file is opened, for a sample `load_manifest`
+    would reject or read back differently.
+    """
+    identities = dict.fromkeys(s.identity for s in dataset.samples)
+    domains = dict.fromkeys(s.domain for s in dataset.samples)
+    for label in [*identities, *domains]:
+        if "," in label or "".join(label.splitlines()) != label:
+            raise ParseError(f"label {label!r} holds a comma or line break")
+    for identity in identities:
+        if identity.startswith("#"):
+            raise ParseError(f"identity {identity!r} would read as a comment")
+    features = [s.features for s in dataset.samples]
+    if features and not np.isfinite(np.concatenate(features)).all():
+        raise ParseError("non-finite feature")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{MANIFEST_MAGIC} dim={dataset.feature_dim}\n")
         for s in dataset.samples:

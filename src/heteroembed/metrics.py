@@ -66,8 +66,10 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
         raise ValueError("probe and gallery sets must be nonempty")
     if probes.shape[1] != gallery.shape[1]:
         raise ShapeError("probe/gallery embedding dims differ")
-    diff = probes[:, None, :] - gallery[None, :, :]
-    d = np.einsum("ijk,ijk->ij", diff, diff)
+    d = np.empty((probes.shape[0], gallery.shape[0]))
+    for i, p in enumerate(probes):  # one row at a time: no (P, G, D) tensor
+        diff = p - gallery
+        d[i] = np.einsum("jk,jk->j", diff, diff)
     return np.maximum(d, 0.0)
 
 
@@ -147,13 +149,10 @@ def gar_at_far(curve: RocCurve, far_level: float) -> float:
     """
     if not 0.0 <= far_level <= 1.0:
         raise ValueError("far_level must lie in [0, 1]")
-    # Collapse to one (max) GAR per distinct FAR.
-    best: dict[float, float] = {}
-    for f, g in zip(curve.far, curve.gar):
-        if f not in best or g > best[f]:
-            best[f] = g
-    fars = np.array(sorted(best))
-    gars = np.array([best[f] for f in fars])
+    # Collapse to one (max) GAR per distinct FAR; a hand-built curve may be unsorted.
+    order = np.argsort(curve.far, kind="stable")
+    fars, starts = np.unique(np.asarray(curve.far)[order], return_index=True)
+    gars = np.maximum.reduceat(np.asarray(curve.gar)[order], starts)
     positive = fars[fars > 0]
     if positive.size and far_level < positive[0]:
         return float(gars[fars == 0.0][0]) if (fars == 0.0).any() else float(gars[0])

@@ -167,7 +167,7 @@ def backward(
 
 @dataclass
 class AdamState:
-    learning_rate: float = 1e-5
+    learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -229,6 +229,8 @@ def _fmt(x: float) -> str:
 
 def save_checkpoint(net: EmbeddingNet, path) -> None:
     """Write the network to the versioned text checkpoint format."""
+    if not all(np.isfinite(p).all() for p in net.params()):
+        raise ConfigError("cannot save a network with non-finite parameters")
     cfg = net.config
     buf = io.StringIO()
     buf.write(CHECKPOINT_MAGIC + "\n")
@@ -256,6 +258,8 @@ def load_checkpoint(path) -> EmbeddingNet:
     idx = 1
     while idx < len(lines) and "=" in lines[idx] and " " not in lines[idx].split("=")[0]:
         key, _, val = lines[idx].partition("=")
+        if key in kv:
+            raise ConfigError(f"{path}: duplicate checkpoint key {key!r}")
         kv[key] = val
         idx += 1
     try:
@@ -277,6 +281,8 @@ def load_checkpoint(path) -> EmbeddingNet:
             continue
         parts = line.split()
         name = parts[0]
+        if name in tensors:
+            raise ConfigError(f"{path}: duplicate tensor {name!r}")
         if name.endswith(".weight"):
             rows, cols = int(parts[1]), int(parts[2])
             vals = np.array([float(v) for v in parts[3:]], dtype=np.float64)
@@ -289,6 +295,8 @@ def load_checkpoint(path) -> EmbeddingNet:
             tensors[name] = vals
         else:
             raise ConfigError(f"{path}: unknown tensor {name!r}")
+        if not np.isfinite(tensors[name]).all():
+            raise ConfigError(f"{path}: non-finite value in {name}")
 
     n_layers = len(config.layer_dims)
     weights, biases = [], []

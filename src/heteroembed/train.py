@@ -60,7 +60,7 @@ class TrainConfig:
     net: NetConfig
     margins: Margins = field(default_factory=Margins)
     tuple_spec: TupleSpec = field(default_factory=TupleSpec)
-    learning_rate: float = 1e-3
+    learning_rate: float = AdamState.learning_rate
     lr_decay: float = 1.0
     epochs: int = 30
     tuples_per_epoch: int = 2000

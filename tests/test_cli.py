@@ -1,9 +1,18 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from heteroembed.cli import main, parse_config_file
+from heteroembed.cli import (
+    RUN_KEYS,
+    SYNTH_KEYS,
+    SplitConfig,
+    main,
+    parse_config_file,
+    run_config_from,
+    synth_config_from,
+)
 from heteroembed.data import load_manifest
 from heteroembed.net import NetConfig, init_net, save_checkpoint
 
@@ -195,6 +204,31 @@ class TestEval:
         assert cmc_out.read_text().splitlines()[0] == "rank,accuracy"
 
 
+class TestBadPaths:
+    """A directory where a file is expected: exit 2 and one error line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "synth --out {dir}",
+            "train --config {cfg} --data {data} --out {dir}",
+            "train --config {cfg} --data {data} --out {tmp}/n.ckpt --log-out {dir}",
+            "eval --checkpoint {dir} --config {cfg} --data {data}",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {dir}",
+        ],
+    )
+    def test_directory_exit_2(self, tmp_path, small_manifest, capsys, argv):
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        (tmp_path / "a_dir").mkdir()
+        paths = dict(dir=tmp_path / "a_dir", cfg=cfg, data=small_manifest, ckpt=ckpt, tmp=tmp_path)
+        capsys.readouterr()
+        assert main(argv.format(**paths).split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCompare:
     def test_reports_and_determinism(self, tmp_path, small_manifest, capsys):
         cfg = write(tmp_path / "run.cfg", SMALL_RUN)
@@ -217,3 +251,26 @@ def test_manifest_round_trip_via_cli(tmp_path, small_manifest):
     again = tmp_path / "again.hem"
     save_manifest(ds, again)
     assert again.read_bytes() == small_manifest.read_bytes()
+
+
+def test_readme_config_block_matches_cli_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config files", 1)[1].split("```", 2)[1]
+    config, train_fraction, enroll = run_config_from({}, 16)
+    synth = synth_config_from({})
+    effective = {
+        "NetConfig": config.net, "Margins": config.margins, "TupleSpec": config.tuple_spec,
+        "TrainConfig": config, "SplitConfig": SplitConfig(train_fraction, enroll),
+        "SynthConfig": synth, "DomainShift": synth.domain_shift,
+    }
+    schema = {**RUN_KEYS, **SYNTH_KEYS}
+    keys = 0
+    for line in block.splitlines():
+        key, _, raw = line.split("#", 1)[0].strip().partition("=")
+        if not key:
+            continue
+        assert key in schema, key
+        cls, name, parse = schema[key]
+        assert parse(raw) == getattr(effective[cls.__name__], name), key
+        keys += 1
+    assert keys > 20

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heteroembed.data import (
     Dataset,
@@ -59,6 +64,41 @@ class TestLoadManifest:
         save_manifest(ds, p1)
         save_manifest(load_manifest(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def one_sample(identity="s1", domain="A", features=(1.0, 2.0)):
+    return Dataset(samples=[Sample(0, identity, domain, np.array(features))], feature_dim=2)
+
+
+class TestSaveManifest:
+    @pytest.mark.parametrize(
+        "identity,domain",
+        [("a,b", "A"), ("s1", "A,B"), ("a\nb", "A"), ("s1", "A\r"), ("a\x1cb", "A"),
+         ("a\u2028", "A"), ("#s1", "A")],
+    )
+    def test_unreadable_label_refused_before_open(self, tmp_path, identity, domain):
+        path = tmp_path / "d.hem"
+        with pytest.raises(ParseError):
+            save_manifest(one_sample(identity, domain), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("features", [(1.0, np.nan), (np.inf, 0.0)])
+    def test_non_finite_features_refused(self, tmp_path, features):
+        with pytest.raises(ParseError):
+            save_manifest(one_sample(features=features), tmp_path / "d.hem")
+
+    @settings(max_examples=300, deadline=None)
+    @given(identity=st.text(), domain=st.text())
+    def test_label_round_trips_or_is_refused(self, identity, domain):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.hem"
+            try:
+                save_manifest(one_sample(identity, domain), path)
+            except ParseError:
+                assert not path.exists()
+                return
+            sample = load_manifest(path).samples[0]
+        assert (sample.identity, sample.domain) == (identity, domain)
 
 
 class TestGenerateSynthetic:

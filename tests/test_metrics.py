@@ -3,6 +3,7 @@ import pytest
 
 from heteroembed.data import Dataset, Sample
 from heteroembed.metrics import (
+    RocCurve,
     ScoreSet,
     distance_matrix,
     eer,
@@ -119,6 +120,14 @@ class TestDistanceMatrix:
     def test_empty_gallery(self):
         with pytest.raises(ValueError):
             distance_matrix(np.zeros((1, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("shape", [(5, 7, 1), (9, 4, 8), (30, 25, 32), (11, 13, 33)])
+    def test_bit_identical_to_broadcast_form(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        p, g = rng.standard_normal(shape[::2]), rng.standard_normal(shape[1:])
+        diff = p[:, None, :] - g[None, :, :]  # reference: the full (P, G, D) tensor
+        ref = np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0)
+        assert distance_matrix(p, g).tobytes() == ref.tobytes()
 
 
 # --- identification ---------------------------------------------------------
@@ -244,6 +253,21 @@ class TestGarAtFar:
         curve = roc(ScoreSet(genuine=genuine, impostor=impostor))
         for level in (0.001, 0.01, 0.1, 0.5):
             assert gar_at_far(curve, level) == pytest.approx(
+                brute_gar_at_far(list(genuine), list(impostor), level), abs=1e-12
+            )
+
+    def test_unsorted_repeated_far_matches_brute_force(self):
+        rng = np.random.default_rng(17)
+        genuine = np.round(rng.random(40), 1)  # ties give repeated FAR values
+        impostor = np.round(rng.random(60) + 0.2, 1)
+        curve = roc(ScoreSet(genuine=genuine, impostor=impostor))
+        # shuffle the points and repeat some FARs with a lower GAR
+        far = np.concatenate([curve.far, curve.far[::3]])
+        gar = np.concatenate([curve.gar, curve.gar[::3] / 2])
+        order = rng.permutation(far.size)
+        hand = RocCurve(far=far[order], gar=gar[order], threshold=np.zeros(far.size))
+        for level in (0.0, 0.001, 0.05, 0.1, 0.37, 1.0):
+            assert gar_at_far(hand, level) == pytest.approx(
                 brute_gar_at_far(list(genuine), list(impostor), level), abs=1e-12
             )
 

@@ -198,3 +198,31 @@ class TestCheckpoint:
         path.write_text("NOT-A-CHECKPOINT\n")
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def test_non_finite_value_rejected_on_read_and_write(self, tmp_path):
+        net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        text = path.read_text()
+        for bad in ("nan", "inf", "-inf"):
+            lines = text.splitlines()
+            name, rows, cols, first, *rest = lines[-2].split()
+            lines[-2] = " ".join([name, rows, cols, bad, *rest])
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigError, match="non-finite"):
+                load_checkpoint(path)
+        net.biases[0][1] = np.nan
+        with pytest.raises(ConfigError, match="non-finite"):
+            save_checkpoint(net, tmp_path / "nan.ckpt")
+        assert not (tmp_path / "nan.ckpt").exists()
+
+    @pytest.mark.parametrize("line", [-1, 1])
+    def test_duplicate_line_rejected(self, tmp_path, line):
+        net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        lines = path.read_text().splitlines()
+        lines.insert(line, lines[line])  # a tensor line, then a header key
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="duplicate"):
+            load_checkpoint(path)
