@@ -9,6 +9,7 @@ failure, 5 shape mismatch.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -232,7 +233,20 @@ def report_lines(ident: IdentReport, verif: VerificationReport, prefix="") -> li
 # --- commands ---------------------------------------------------------------
 
 
+def _check_out_paths(*paths) -> None:
+    """Refuse, before any work starts, an output path the command could not write."""
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: is a directory")
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise OSError(f"cannot write {path}: no directory {parent}")
+
+
 def cmd_synth(args) -> int:
+    _check_out_paths(args.out)
     cfg = parse_config_file(args.config) if args.config else {}
     config = synth_config_from(cfg, seed_override=args.seed)
     dataset = generate_synthetic(config)
@@ -251,11 +265,12 @@ def _run_inputs(args) -> tuple[Dataset, TrainConfig, float, int]:
 
 
 def cmd_train(args) -> int:
+    log_path = args.log_out or (str(args.out) + ".log.csv")
+    _check_out_paths(args.out, log_path)
     dataset, config, train_fraction, _ = _run_inputs(args)
     train_set, _ = split_by_identity(dataset, train_fraction, config.seed)
     net, log = train(train_set, config)
     save_checkpoint(net, args.out)
-    log_path = args.log_out or (str(args.out) + ".log.csv")
     log.write_csv(log_path)
     print(f"checkpoint={args.out}")
     print(f"log={log_path}")
@@ -265,6 +280,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_paths(args.roc_out, args.cmc_out)
     net = load_checkpoint(args.checkpoint)
     dataset, config, train_fraction, enroll = _run_inputs(args)
     if dataset.feature_dim != net.config.input_dim:

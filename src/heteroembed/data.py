@@ -16,6 +16,9 @@ import numpy as np
 from .net import ShapeError
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
+# Manifest lines parsed or written per block: bounds the Python strings and
+# floats held at once.
+MANIFEST_CHUNK_LINES = 256
 
 
 class ParseError(ValueError):
@@ -89,8 +92,49 @@ def load_manifest(path) -> Dataset:
     except ValueError as exc:
         raise ParseError(f"{path}: bad dim in header") from exc
 
+    samples: list[Sample] = []
+    for start in range(1, len(lines), MANIFEST_CHUNK_LINES):
+        chunk = lines[start : start + MANIFEST_CHUNK_LINES]
+        parsed = _parse_block(chunk, dim, len(samples))
+        if parsed is None:  # some line is bad: the per-line parser names the first one
+            parsed = _parse_lines(path, chunk, start + 1, dim, len(samples))
+        samples.extend(parsed)
+    if not samples:
+        raise ParseError(f"{path}: no data lines")
+    return Dataset(samples=samples, feature_dim=dim)
+
+
+def _parse_block(lines: list[str], dim: int, first_id: int) -> list[Sample] | None:
+    """Parse manifest body lines with one float conversion; None if any line is bad."""
+    labels = []
+    tokens: list[str] = []
+    for line in lines:
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            return None
+        feats = parts[2].split()
+        if len(feats) != dim:
+            return None
+        labels.append(parts[:2])
+        tokens.extend(feats)
+    try:
+        block = np.array(tokens, dtype=np.float64).reshape(len(labels), dim)
+    except ValueError:
+        return None
+    if not np.isfinite(block).all():
+        return None
+    return [
+        Sample(first_id + i, identity, domain, block[i])
+        for i, (identity, domain) in enumerate(labels)
+    ]
+
+
+def _parse_lines(path, lines: list[str], first_lineno: int, dim: int, first_id: int) -> list[Sample]:
+    """Parse manifest body lines one by one; the first bad line raises with its line number."""
     samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split(",")
@@ -105,17 +149,15 @@ def load_manifest(path) -> Dataset:
             raise ShapeError(f"{path}:{lineno}: {feats.size} features, expected {dim}")
         if not np.all(np.isfinite(feats)):
             raise ParseError(f"{path}:{lineno}: non-finite feature")
-        samples.append(Sample(id=len(samples), identity=identity, domain=domain, features=feats))
-    if not samples:
-        raise ParseError(f"{path}: no data lines")
-    return Dataset(samples=samples, feature_dim=dim)
+        samples.append(Sample(first_id + len(samples), identity, domain, feats))
+    return samples
 
 
 def save_manifest(dataset: Dataset, path) -> None:
     """Write a Dataset as a `.hem` manifest (17 significant digits, round-trip exact).
 
-    Raises ParseError, before the file is opened, for a sample `load_manifest`
-    would reject or read back differently.
+    Raises ParseError or ShapeError, before the file is opened, for a sample
+    `load_manifest` would reject or read back differently.
     """
     identities = dict.fromkeys(s.identity for s in dataset.samples)
     domains = dict.fromkeys(s.domain for s in dataset.samples)
@@ -125,14 +167,22 @@ def save_manifest(dataset: Dataset, path) -> None:
     for identity in identities:
         if identity.startswith("#"):
             raise ParseError(f"identity {identity!r} would read as a comment")
-    features = [s.features for s in dataset.samples]
-    if features and not np.isfinite(np.concatenate(features)).all():
+    dim = dataset.feature_dim
+    for s in dataset.samples:
+        if np.shape(s.features) != (dim,):
+            raise ShapeError(
+                f"sample {s.id}: features of shape {np.shape(s.features)}, expected ({dim},)"
+            )
+    features = np.array([s.features for s in dataset.samples]).reshape(len(dataset), dim)
+    if not np.isfinite(features).all():
         raise ParseError("non-finite feature")
+    row = "%s,%s," + " ".join(["%.17g"] * dim) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{MANIFEST_MAGIC} dim={dataset.feature_dim}\n")
-        for s in dataset.samples:
-            feats = " ".join(format(v, ".17g") for v in s.features)
-            f.write(f"{s.identity},{s.domain},{feats}\n")
+        f.write(f"{MANIFEST_MAGIC} dim={dim}\n")
+        for start in range(0, len(dataset), MANIFEST_CHUNK_LINES):
+            rows = features[start : start + MANIFEST_CHUNK_LINES].tolist()
+            chunk = dataset.samples[start : start + MANIFEST_CHUNK_LINES]
+            f.writelines(row % (s.identity, s.domain, *v) for s, v in zip(chunk, rows))
 
 
 def generate_synthetic(config: SynthConfig) -> Dataset:
@@ -161,22 +211,28 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     else:
         rng.standard_normal(dim)  # keep the stream aligned across offset settings
 
-    samples = []
+    # One draw in stream order: per identity its center, n domain-A scatters,
+    # then n (scatter, noise) pairs for domain B.
     n = config.samples_per_identity_per_domain
-    for ident in range(config.n_identities):
-        label = f"id{ident:03d}"
-        center = rng.standard_normal(dim)
-        center_b = rot @ center + offset
-        for _ in range(n):
-            feats = center + config.cluster_spread * rng.standard_normal(dim)
-            samples.append(Sample(len(samples), label, "A", feats))
-        for _ in range(n):
-            feats = (
-                center_b
-                + config.cluster_spread * rng.standard_normal(dim)
-                + shift.noise_scale * rng.standard_normal(dim)
-            )
-            samples.append(Sample(len(samples), label, "B", feats))
+    draws = rng.standard_normal((config.n_identities, 1 + 3 * n, dim))
+    centers = draws[:, 0]
+    b_draws = draws[:, 1 + n :].reshape(config.n_identities, n, 2, dim)
+    # One matrix-vector product per identity: `centers @ rot.T` sums in another
+    # order and differs in the last bit.
+    centers_b = np.array([rot @ center for center in centers]).reshape(-1, 1, dim) + offset
+    feats_a = centers[:, None] + config.cluster_spread * draws[:, 1 : 1 + n]
+    feats_b = (
+        centers_b
+        + config.cluster_spread * b_draws[:, :, 0]
+        + shift.noise_scale * b_draws[:, :, 1]
+    )
+    features = np.concatenate([feats_a, feats_b], axis=1).reshape(-1, dim)
+    labels = [f"id{ident:03d}" for ident in range(config.n_identities)]
+    domains = ["A"] * n + ["B"] * n
+    samples = [
+        Sample(i, labels[i // (2 * n)], domains[i % (2 * n)], features[i])
+        for i in range(len(features))
+    ]
     return Dataset(samples=samples, feature_dim=dim)
 
 

@@ -149,10 +149,18 @@ def gar_at_far(curve: RocCurve, far_level: float) -> float:
     """
     if not 0.0 <= far_level <= 1.0:
         raise ValueError("far_level must lie in [0, 1]")
-    # Collapse to one (max) GAR per distinct FAR; a hand-built curve may be unsorted.
-    order = np.argsort(curve.far, kind="stable")
-    fars, starts = np.unique(np.asarray(curve.far)[order], return_index=True)
-    gars = np.maximum.reduceat(np.asarray(curve.gar)[order], starts)
+    # Collapse to one (max) GAR per distinct FAR. `roc` returns FAR sorted; a
+    # hand-built curve may not be.
+    far = np.asarray(curve.far)
+    gar = np.asarray(curve.gar)
+    if not (far[1:] >= far[:-1]).all():
+        order = np.argsort(far, kind="stable")
+        far, gar = far[order], gar[order]
+    run_starts = np.ones(far.shape, dtype=bool)
+    run_starts[1:] = far[1:] != far[:-1]
+    starts = np.flatnonzero(run_starts)
+    fars = far[starts]
+    gars = np.maximum.reduceat(gar, starts)
     positive = fars[fars > 0]
     if positive.size and far_level < positive[0]:
         return float(gars[fars == 0.0][0]) if (fars == 0.0).any() else float(gars[0])

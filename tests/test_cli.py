@@ -215,6 +215,12 @@ class TestBadPaths:
             "train --config {cfg} --data {data} --out {tmp}/n.ckpt --log-out {dir}",
             "eval --checkpoint {dir} --config {cfg} --data {data}",
             "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {dir}",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --cmc-out {dir}",
+            "synth --out {tmp}/missing/d.hem",
+            "train --config {cfg} --data {data} --out {tmp}/missing/n.ckpt",
+            "train --config {cfg} --data {data} --out {tmp}/n.ckpt --log-out {tmp}/missing/l.csv",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {tmp}/missing/r.csv",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --cmc-out {tmp}/missing/c.csv",
         ],
     )
     def test_directory_exit_2(self, tmp_path, small_manifest, capsys, argv):
@@ -227,6 +233,17 @@ class TestBadPaths:
         assert main(argv.format(**paths).split()) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("out,log_out", [("n.ckpt", "a_dir"), ("a_dir", None), ("n.ckpt", None)])
+    def test_train_output_checked_before_training(self, tmp_path, small_manifest, monkeypatch, out, log_out):
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "n.ckpt.log.csv").mkdir()  # the default log path of n.ckpt
+        monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
+        argv = ["train", "--data", str(small_manifest), "--out", str(tmp_path / out)]
+        if log_out:
+            argv += ["--log-out", str(tmp_path / log_out)]
+        assert main(argv) == 2
+        assert not (tmp_path / "n.ckpt").exists()
 
 
 class TestCompare:

@@ -1,12 +1,16 @@
+import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heteroembed import data as hdata
 from heteroembed.data import (
+    MANIFEST_MAGIC,
     Dataset,
     DomainShift,
     ParseError,
@@ -25,6 +29,105 @@ def write_manifest(tmp_path, lines, dim=3, name="data.hem"):
     path = tmp_path / name
     path.write_text(f"HETERO-EMBED-DATA v1 dim={dim}\n" + "".join(l + "\n" for l in lines))
     return path
+
+
+# --- per-sample references: the loops the whole-array code replaced ---------
+
+
+def reference_load_manifest(path) -> Dataset:
+    with open(path, "r", encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = lines[0]
+    if not header.startswith(MANIFEST_MAGIC + " dim="):
+        raise ParseError(f"{path}: bad header {header!r}")
+    try:
+        dim = int(header.split("dim=", 1)[1])
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad dim in header") from exc
+    samples = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected identity,domain,features")
+        identity, domain, feat_str = parts
+        try:
+            feats = np.array([float(v) for v in feat_str.split()], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric feature") from exc
+        if feats.size != dim:
+            raise ShapeError(f"{path}:{lineno}: {feats.size} features, expected {dim}")
+        if not np.all(np.isfinite(feats)):
+            raise ParseError(f"{path}:{lineno}: non-finite feature")
+        samples.append(Sample(id=len(samples), identity=identity, domain=domain, features=feats))
+    if not samples:
+        raise ParseError(f"{path}: no data lines")
+    return Dataset(samples=samples, feature_dim=dim)
+
+
+def reference_generate_synthetic(config: SynthConfig) -> Dataset:
+    rng = np.random.default_rng(config.seed)
+    dim = config.feature_dim
+    shift = config.domain_shift
+    theta = math.radians(shift.rotation_angle_degrees)
+    rot = np.eye(dim)
+    if dim >= 2:
+        rot[0, 0] = math.cos(theta)
+        rot[0, 1] = -math.sin(theta)
+        rot[1, 0] = math.sin(theta)
+        rot[1, 1] = math.cos(theta)
+    offset = np.zeros(dim)
+    if shift.offset_magnitude != 0.0:
+        direction = rng.standard_normal(dim)
+        offset = shift.offset_magnitude * direction / np.linalg.norm(direction)
+    else:
+        rng.standard_normal(dim)
+    samples = []
+    n = config.samples_per_identity_per_domain
+    for ident in range(config.n_identities):
+        label = f"id{ident:03d}"
+        center = rng.standard_normal(dim)
+        center_b = rot @ center + offset
+        for _ in range(n):
+            feats = center + config.cluster_spread * rng.standard_normal(dim)
+            samples.append(Sample(len(samples), label, "A", feats))
+        for _ in range(n):
+            feats = (
+                center_b
+                + config.cluster_spread * rng.standard_normal(dim)
+                + shift.noise_scale * rng.standard_normal(dim)
+            )
+            samples.append(Sample(len(samples), label, "B", feats))
+    return Dataset(samples=samples, feature_dim=dim)
+
+
+def assert_same_dataset(got: Dataset, want: Dataset):
+    """Equal ids, labels and feature bits, sample by sample."""
+    assert got.feature_dim == want.feature_dim
+    assert len(got) == len(want)
+    for g, w in zip(got.samples, want.samples):
+        assert (g.id, g.identity, g.domain) == (w.id, w.identity, w.domain)
+        assert g.features.dtype == w.features.dtype and g.features.shape == w.features.shape
+        assert g.features.tobytes() == w.features.tobytes()
+
+
+def outcome(load, path):
+    """(dataset, None) or (None, (exception class, message))."""
+    try:
+        return load(path), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def assert_same_outcome(path):
+    got, got_error = outcome(load_manifest, path)
+    want, want_error = outcome(reference_load_manifest, path)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_dataset(got, want)
 
 
 class TestLoadManifest:
@@ -57,6 +160,38 @@ class TestLoadManifest:
         path = write_manifest(tmp_path, ["# comment", "", "s1,A,1 2 3", "s2,A,4 5 6"])
         assert len(load_manifest(path)) == 2
 
+    @pytest.mark.parametrize(
+        "lines,bad",
+        [(["s1,A,1 2", "s2,A,3 4 5 6"], 2), (["s1,A,1 2 3 4", "s2,A,5 6"], 2),
+         (["s1,A,1 2 3", "s2,A,4 5", "s3,A,6 7 8 9"], 3)],
+    )
+    def test_counts_checked_per_line(self, tmp_path, lines, bad):
+        # the token counts sum to the right total; each short or long line is still refused
+        path = write_manifest(tmp_path, lines)
+        with pytest.raises(ShapeError, match=f":{bad}: "):
+            load_manifest(path)
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("bad_line", ["s,A,1 x 3", "s,A,1 2", "s,A,1 nan 3", "s,A,1,2 3"])
+    def test_bad_line_after_first_chunk_names_its_line(self, tmp_path, bad_line):
+        good = [f"s{i},A,{i} 2 3" for i in range(3 * hdata.MANIFEST_CHUNK_LINES)]
+        at = hdata.MANIFEST_CHUNK_LINES + 7  # index into the body
+        path = write_manifest(tmp_path, good[:at] + [bad_line] + good[at:])
+        with pytest.raises(ValueError, match=f":{at + 2}: "):
+            load_manifest(path)
+        assert_same_outcome(path)
+
+    def test_many_chunks_match_reference(self, tmp_path):
+        lines = []
+        for i in range(2 * hdata.MANIFEST_CHUNK_LINES + 5):
+            lines.append(f"s{i % 7},{'AB'[i % 2]},{i * 0.1} -{i} 1e-{i % 300}")
+            if i % 97 == 0:
+                lines += ["# comment", "", "  \t"]
+        path = write_manifest(tmp_path, lines)
+        ds = load_manifest(path)
+        assert [s.id for s in ds.samples] == list(range(2 * hdata.MANIFEST_CHUNK_LINES + 5))
+        assert_same_outcome(path)
+
     def test_round_trip_bytes(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_identities=3, samples_per_identity_per_domain=2, seed=1))
         p1 = tmp_path / "a.hem"
@@ -68,6 +203,62 @@ class TestLoadManifest:
 
 def one_sample(identity="s1", domain="A", features=(1.0, 2.0)):
     return Dataset(samples=[Sample(0, identity, domain, np.array(features))], feature_dim=2)
+
+
+# Spellings `float` reads as finite numbers, and spellings a reader must refuse.
+GOOD_FLOATS = ["1", "-2.5", "+3", ".5", "5.", "1E-3", "-0", "1e-400", "1_0", "\u0661\u0662",
+               "\u0663.\u0661", "\uff11", "0.1000000000000000055511151231257827"]
+BAD_FLOATS = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "infinit", "1__0", "_1",
+              "1_", "0x10", "0x1p3", "1j", "x", "1.2.3", "--1", "1e"]
+SEPARATORS = [" ", " ", " ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\u2028", "\x1c"]
+BAD_HEADERS = ["", "HETERO-EMBED-DATA v2 dim=2", f"{MANIFEST_MAGIC} dim=", f"{MANIFEST_MAGIC} dim=x",
+               f"{MANIFEST_MAGIC} dim=2.0", f"{MANIFEST_MAGIC}  dim=2"]
+
+
+@st.composite
+def manifest_texts(draw):
+    """Mostly valid manifests, each line at risk of one fault a reader must report."""
+    fault = st.integers(0, 15).map(lambda v: v == 0)  # true about one time in 16
+    dim = draw(st.sampled_from([1, 2, 3, 0, -1, 10]))
+    spelled = draw(st.sampled_from([str(dim), f" {dim}", f"+{dim}", f"{dim} "]))
+    if dim == 10:
+        spelled = draw(st.sampled_from(["10", "1_0", "\u0661\u0660"]))
+    header = draw(st.sampled_from(BAD_HEADERS)) if draw(fault) else f"{MANIFEST_MAGIC} dim={spelled}"
+    lines = [header]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank"]))
+        if kind == "comment":
+            lines.append("#" + draw(st.text(max_size=5)))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "\u3000"])))
+            continue
+        count = max(dim, 0) + (draw(st.sampled_from([-1, 1])) if draw(fault) else 0)
+        tokens = [
+            draw(st.sampled_from(BAD_FLOATS)) if draw(fault)
+            else draw(st.one_of(st.sampled_from(GOOD_FLOATS),
+                                st.floats(allow_nan=False, allow_infinity=False).map(repr)))
+            for _ in range(max(count, 0))
+        ]
+        feats = "".join(draw(st.sampled_from(SEPARATORS)) + t for t in tokens)
+        fields = [draw(st.sampled_from(["s1", "id 2", " a", "#x"])), draw(st.sampled_from(["A", "B", ""])), feats]
+        if draw(fault):
+            fields.insert(draw(st.integers(0, 3)), draw(st.sampled_from(["", "1", "A"])))
+        lines.append(",".join(fields))
+    ends = draw(st.lists(st.sampled_from(LINE_ENDS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestManifestProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(text=manifest_texts(), chunk_lines=st.sampled_from([1, 2, 3, 256]))
+    def test_loads_like_reference_or_raises_its_error(self, text, chunk_lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.hem"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(hdata, "MANIFEST_CHUNK_LINES", chunk_lines):
+                assert_same_outcome(path)
 
 
 class TestSaveManifest:
@@ -87,6 +278,14 @@ class TestSaveManifest:
         with pytest.raises(ParseError):
             save_manifest(one_sample(features=features), tmp_path / "d.hem")
 
+    @pytest.mark.parametrize("features", [np.array([1.0]), np.array([1.0, 2.0, 3.0]), np.ones((1, 2))])
+    def test_wrong_shape_refused_before_open(self, tmp_path, features):
+        path = tmp_path / "d.hem"
+        dataset = Dataset(samples=[Sample(0, "s0", "A", np.zeros(2)), Sample(1, "s1", "A", features)], feature_dim=2)
+        with pytest.raises(ShapeError, match="sample 1"):
+            save_manifest(dataset, path)
+        assert not path.exists()
+
     @settings(max_examples=300, deadline=None)
     @given(identity=st.text(), domain=st.text())
     def test_label_round_trips_or_is_refused(self, identity, domain):
@@ -101,7 +300,28 @@ class TestSaveManifest:
         assert (sample.identity, sample.domain) == (identity, domain)
 
 
+HARD_SHIFT = DomainShift(rotation_angle_degrees=90.0, offset_magnitude=3.0, noise_scale=0.5)
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SynthConfig(),
+            SynthConfig(n_identities=200, samples_per_identity_per_domain=5, cluster_spread=0.6,
+                        domain_shift=HARD_SHIFT, seed=1),
+            SynthConfig(n_identities=500, samples_per_identity_per_domain=10),
+            SynthConfig(n_identities=7, domain_shift=DomainShift(offset_magnitude=0.0), seed=3),
+            SynthConfig(n_identities=6, samples_per_identity_per_domain=3, feature_dim=1, seed=4),
+            SynthConfig(n_identities=6, samples_per_identity_per_domain=3, feature_dim=2,
+                        domain_shift=HARD_SHIFT, seed=5),
+            SynthConfig(n_identities=9, samples_per_identity_per_domain=1, feature_dim=5, seed=6),
+        ],
+        ids=["default", "hard_compare", "eval_large", "offset0", "dim1", "dim2", "one_per_domain"],
+    )
+    def test_matches_per_identity_reference(self, config):
+        assert_same_dataset(generate_synthetic(config), reference_generate_synthetic(config))
+
     def test_default_counts(self):
         ds = generate_synthetic(SynthConfig(seed=0))
         assert len(ds) == 2000

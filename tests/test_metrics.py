@@ -271,6 +271,19 @@ class TestGarAtFar:
                 brute_gar_at_far(list(genuine), list(impostor), level), abs=1e-12
             )
 
+    def test_sorted_and_shuffled_curves_agree(self):
+        rng = np.random.default_rng(18)
+        curve = roc(ScoreSet(genuine=np.round(rng.random(40), 1), impostor=np.round(rng.random(60), 1)))
+        # a sorted curve whose repeated FARs carry other GARs, then the same points shuffled
+        far = np.concatenate([curve.far, curve.far[::2]])
+        gar = np.concatenate([curve.gar, rng.random(curve.far[::2].size)])
+        order = np.argsort(far, kind="stable")
+        shuffle = rng.permutation(far.size)
+        ordered = RocCurve(far=far[order], gar=gar[order], threshold=np.zeros(far.size))
+        shuffled = RocCurve(far=far[shuffle], gar=gar[shuffle], threshold=np.zeros(far.size))
+        for level in (0.0, 0.001, 0.05, 0.1, 0.37, 1.0):
+            assert gar_at_far(ordered, level) == gar_at_far(shuffled, level)
+
     def test_monotone_in_level(self):
         rng = np.random.default_rng(15)
         curve = roc(ScoreSet(genuine=rng.random(50), impostor=rng.random(50)))
