@@ -208,14 +208,19 @@ def evaluate_cross_domain(
 
 
 def _match(net, gallery: Dataset, probes: Dataset):
-    gal_emb = embed_dataset(net, gallery)
-    probe_emb = embed_dataset(net, probes)
-    gal_ids = [s.id for s in gallery.samples]
-    probe_ids = [s.id for s in probes.samples]
-    dist = distance_matrix(
-        np.stack([probe_emb[i] for i in probe_ids]),
-        np.stack([gal_emb[i] for i in gal_ids]),
-    )
+    # A network that overflows on this data is reported once, as a
+    # NumericalError, not as numpy warnings and metrics of NaN distances.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gal_emb = embed_dataset(net, gallery)
+        probe_emb = embed_dataset(net, probes)
+        gal_ids = [s.id for s in gallery.samples]
+        probe_ids = [s.id for s in probes.samples]
+        dist = distance_matrix(
+            np.stack([probe_emb[i] for i in probe_ids]),
+            np.stack([gal_emb[i] for i in gal_ids]),
+        )
+    if not np.isfinite(dist).all():
+        raise NumericalError("non-finite embedding distance: the network overflows on this data")
     gal_labels = [s.identity for s in gallery.samples]
     probe_labels = [s.identity for s in probes.samples]
     ident = identify(dist, probe_labels, gal_labels)

@@ -91,6 +91,8 @@ def load_manifest(path) -> Dataset:
         dim = int(header.split("dim=", 1)[1])
     except ValueError as exc:
         raise ParseError(f"{path}: bad dim in header") from exc
+    if dim < 1:
+        raise ParseError(f"{path}: header dim={dim}, expected >= 1")
 
     samples: list[Sample] = []
     for start in range(1, len(lines), MANIFEST_CHUNK_LINES):
@@ -156,8 +158,8 @@ def _parse_lines(path, lines: list[str], first_lineno: int, dim: int, first_id: 
 def save_manifest(dataset: Dataset, path) -> None:
     """Write a Dataset as a `.hem` manifest (17 significant digits, round-trip exact).
 
-    Raises ParseError or ShapeError, before the file is opened, for a sample
-    `load_manifest` would reject or read back differently.
+    Raises ParseError or ShapeError, before the file is opened, for a
+    feature_dim or a sample `load_manifest` would reject or read back differently.
     """
     identities = dict.fromkeys(s.identity for s in dataset.samples)
     domains = dict.fromkeys(s.domain for s in dataset.samples)
@@ -168,6 +170,8 @@ def save_manifest(dataset: Dataset, path) -> None:
         if identity.startswith("#"):
             raise ParseError(f"identity {identity!r} would read as a comment")
     dim = dataset.feature_dim
+    if dim < 1:
+        raise ParseError(f"feature_dim={dim}, expected >= 1")
     for s in dataset.samples:
         if np.shape(s.features) != (dim,):
             raise ShapeError(

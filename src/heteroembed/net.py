@@ -9,6 +9,7 @@ deterministic given a seed.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,8 +93,9 @@ def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
             h = _activate(h, net.config.activation)
     if net.config.normalize_output:
         norms = np.linalg.norm(h, axis=1, keepdims=True)
+        # an overflowed norm gives NaN, not a silent zero row
         scale = np.where(norms > NORM_GUARD, norms, 1.0)
-        h = h / scale
+        h = h / np.where(np.isinf(norms), np.nan, scale)
     return h
 
 
@@ -221,6 +223,7 @@ def decay_learning_rate(state: AdamState) -> AdamState:
 # --- checkpoint serialization ----------------------------------------------
 
 CHECKPOINT_MAGIC = "HETERO-EMBED-NET v1"
+CHECKPOINT_KEYS = ("input_dim", "hidden_dims", "embed_dim", "activation", "normalize_output")
 
 
 def _fmt(x: float) -> str:
@@ -260,8 +263,17 @@ def load_checkpoint(path) -> EmbeddingNet:
         key, _, val = lines[idx].partition("=")
         if key in kv:
             raise ConfigError(f"{path}: duplicate checkpoint key {key!r}")
+        if key not in CHECKPOINT_KEYS:
+            raise ConfigError(f"{path}: unknown checkpoint key {key!r}")
         kv[key] = val
         idx += 1
+    for key in CHECKPOINT_KEYS:
+        if key not in kv:
+            raise ConfigError(f"{path}: missing checkpoint key {key!r}")
+    if kv["normalize_output"] not in ("true", "false"):
+        raise ConfigError(
+            f"{path}: normalize_output must be true or false, got {kv['normalize_output']!r}"
+        )
     try:
         config = NetConfig(
             input_dim=int(kv["input_dim"]),
@@ -272,29 +284,27 @@ def load_checkpoint(path) -> EmbeddingNet:
             activation=kv["activation"],
             normalize_output=kv["normalize_output"] == "true",
         )
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing checkpoint key {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: bad checkpoint header: {exc}") from exc
 
     tensors = {}
     for line in lines[idx:]:
         if not line.strip():
             continue
-        parts = line.split()
-        name = parts[0]
+        name, *fields = line.split()
         if name in tensors:
             raise ConfigError(f"{path}: duplicate tensor {name!r}")
-        if name.endswith(".weight"):
-            rows, cols = int(parts[1]), int(parts[2])
-            vals = np.array([float(v) for v in parts[3:]], dtype=np.float64)
-            tensors[name] = vals.reshape(rows, cols)
-        elif name.endswith(".bias"):
-            n = int(parts[1])
-            vals = np.array([float(v) for v in parts[2:]], dtype=np.float64)
-            if vals.size != n:
-                raise ConfigError(f"{path}: bad tensor line for {name}")
-            tensors[name] = vals
-        else:
+        if not name.endswith((".weight", ".bias")):
             raise ConfigError(f"{path}: unknown tensor {name!r}")
+        n_dims = 2 if name.endswith(".weight") else 1
+        try:
+            shape = tuple(int(v) for v in fields[:n_dims])
+            vals = np.array([float(v) for v in fields[n_dims:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad tensor line for {name}") from exc
+        if len(shape) != n_dims or min(shape) < 0 or vals.size != math.prod(shape):
+            raise ConfigError(f"{path}: bad tensor line for {name}")
+        tensors[name] = vals.reshape(shape)
         if not np.isfinite(tensors[name]).all():
             raise ConfigError(f"{path}: non-finite value in {name}")
 

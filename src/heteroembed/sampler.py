@@ -7,13 +7,12 @@ lists so results are independent of dict iteration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-
-MAX_RETRIES = 64
 
 
 class InfeasibleError(ValueError):
@@ -76,14 +75,6 @@ def build_index(dataset: Dataset) -> DatasetIndex:
     )
 
 
-def _anchor_ok(index: DatasetIndex, a: str, p: str, q: str) -> bool:
-    return len(index.group(a, p)) >= 2 and len(index.group(a, q)) >= 1
-
-
-def _negative_ok(index: DatasetIndex, b: str, p: str, q: str) -> bool:
-    return len(index.group(b, p)) >= 1 and len(index.group(b, q)) >= 1
-
-
 def _domain_pairs(index: DatasetIndex, spec: TupleSpec) -> list[tuple[str, str]]:
     if spec.domain_policy == "fixed":
         return [(spec.fixed_p, spec.fixed_q)]
@@ -113,48 +104,54 @@ def _compose(index, rng, spec, a, b, p, q) -> SampledTuple:
     )
 
 
-def sample_tuple(
-    index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec
-) -> SampledTuple:
-    """Draw one training tuple: bounded rejection sampling, then an exact draw."""
+def _feasible_table(index: DatasetIndex, spec: TupleSpec) -> tuple[list, list[int]]:
+    """Per domain pair (p, q, negatives, anchor positions among them), and cumulative counts.
+
+    A negative has >= 1 sample in p and in q; an anchor also has >= 2 in p, so
+    it is a negative too. Triples are numbered by pair (`_domain_pairs` order),
+    then anchor, then negative b != a, identities sorted; pair k holds the
+    numbers ends[k - 1] to ends[k] - 1.
+    """
     if len(index.identities) < 2:
         raise InfeasibleError("index has fewer than 2 identities")
     pairs = _domain_pairs(index, spec)
     if not pairs:
         raise InfeasibleError("no ordered domain pair available (need >= 2 domains)")
-
-    idents = index.identities
-    for _ in range(MAX_RETRIES):
-        p, q = pairs[rng.integers(len(pairs))]
-        a = idents[rng.integers(len(idents))]
-        b = idents[rng.integers(len(idents))]
-        if a == b or not _anchor_ok(index, a, p, q) or not _negative_ok(index, b, p, q):
-            continue
-        return _compose(index, rng, spec, a, b, p, q)
-
-    # Rejection kept missing: draw uniformly from every feasible
-    # (pair, anchor, negative), the distribution the loop above targets.
-    feasible = []
+    table, ends = [], []
     for p, q in pairs:
-        negatives = [b for b in idents if _negative_ok(index, b, p, q)]
-        anchors = [a for a in idents if _anchor_ok(index, a, p, q)]
-        feasible += [(a, b, p, q) for a in anchors for b in negatives if b != a]
-    if feasible:
-        a, b, p, q = feasible[rng.integers(len(feasible))]
-        return _compose(index, rng, spec, a, b, p, q)
-    if any(_anchor_ok(index, a, p, q) for p, q in pairs for a in idents):
-        raise InfeasibleError(
-            "no negative identity has samples in both domains of any feasible pair"
-        )
-    raise InfeasibleError(
-        "no identity has >= 2 samples in one domain and >= 1 in another"
-    )
+        negatives = [b for b in index.identities if index.group(b, p) and index.group(b, q)]
+        anchors = [s for s, a in enumerate(negatives) if len(index.group(a, p)) >= 2]
+        table.append((p, q, negatives, anchors))
+        ends.append((ends[-1] if ends else 0) + len(anchors) * (len(negatives) - 1))
+    if not any(anchors for _, _, _, anchors in table):
+        raise InfeasibleError("no identity has >= 2 samples in one domain and >= 1 in another")
+    if not ends[-1]:
+        raise InfeasibleError("no negative identity has samples in both domains of any feasible pair")
+    return table, ends
+
+
+def sample_tuple(
+    index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec
+) -> SampledTuple:
+    """Draw one training tuple, uniform over feasible (pair, anchor, negative)."""
+    return epoch_tuples(index, rng, spec, 1)[0]
 
 
 def epoch_tuples(
     index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec, n_tuples: int
 ) -> list[SampledTuple]:
-    """n_tuples independent draws from one RNG stream."""
+    """n_tuples independent draws from one RNG stream, one table for all of them."""
     if n_tuples < 0:
         raise ValueError("n_tuples must be >= 0")
-    return [sample_tuple(index, rng, spec) for _ in range(n_tuples)]
+    if n_tuples == 0:
+        return []
+    table, ends = _feasible_table(index, spec)
+    tuples = []
+    for _ in range(n_tuples):
+        i = int(rng.integers(ends[-1]))
+        k = bisect_right(ends, i)
+        p, q, negatives, anchors = table[k]
+        s, r = divmod(i - (ends[k - 1] if k else 0), len(negatives) - 1)
+        a = anchors[s]  # a position among the negatives; the negative skips it
+        tuples.append(_compose(index, rng, spec, negatives[a], negatives[r + (r >= a)], p, q))
+    return tuples

@@ -1,8 +1,14 @@
+import io
+import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heteroembed.cli import (
     RUN_KEYS,
@@ -14,7 +20,7 @@ from heteroembed.cli import (
     synth_config_from,
 )
 from heteroembed.data import load_manifest
-from heteroembed.net import NetConfig, init_net, save_checkpoint
+from heteroembed.net import CHECKPOINT_MAGIC, NetConfig, init_net, save_checkpoint
 
 
 def write(path, text):
@@ -202,6 +208,161 @@ class TestEval:
         ])
         assert roc_out.read_text().splitlines()[0] == "far,gar,threshold"
         assert cmc_out.read_text().splitlines()[0] == "rank,accuracy"
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one CLI call; a numpy warning is an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A small 4-dim manifest and a run config, shared by the checkpoint text tests."""
+    tmp = tmp_path_factory.mktemp("eval_inputs")
+    data = tmp / "data.hem"
+    assert run_main(["synth", "--config", write(tmp / "synth.cfg", SMALL_SYNTH), "--out", data])[0] == 0
+    return data, write(tmp / "run.cfg", SMALL_RUN)
+
+
+def eval_checkpoint_text(eval_inputs, text):
+    data, cfg = eval_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "net.ckpt"
+        ckpt.write_bytes(text.encode("utf-8"))
+        return run_main(["eval", "--checkpoint", ckpt, "--config", cfg, "--data", data])
+
+
+def assert_one_outcome(code, out, err):
+    """Success prints the report; failure prints one error line and nothing else."""
+    assert code in (0, 2, 4, 5)
+    if code == 0:
+        assert err == "" and out.startswith("rank1=")
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def checkpoint_lines(net_config=NetConfig(input_dim=4, hidden_dims=(3,), embed_dim=2), scale=1.0):
+    net = init_net(net_config, 0)
+    net.weights = [w * scale for w in net.weights]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(net, Path(tmp) / "net.ckpt")
+        return (Path(tmp) / "net.ckpt").read_text().splitlines()
+
+
+class TestCheckpointText:
+    """Malformed checkpoint text: exit 2 and one error line naming the file."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda ls: ls[:6] + ["layer0.weight"] + ls[7:],
+            lambda ls: ls[:7] + ["layer0.bias"] + ls[8:],
+            lambda ls: ls[:6] + ["layer0.weight three 4 " + " ".join(ls[6].split()[3:])] + ls[7:],
+            lambda ls: [l.replace("normalize_output=true", "normalize_output=1") for l in ls],
+            lambda ls: ls[:6] + ["dropout=0.5"] + ls[6:],
+        ],
+    )
+    def test_exit_2_one_line(self, eval_inputs, edit):
+        code, out, err = eval_checkpoint_text(eval_inputs, "\n".join(edit(checkpoint_lines())) + "\n")
+        assert code == 2
+        assert_one_outcome(code, out, err)
+        assert "net.ckpt: " in err
+
+    def test_writer_output_evaluates(self, eval_inputs):
+        code, out, err = eval_checkpoint_text(eval_inputs, "\n".join(checkpoint_lines()) + "\n")
+        assert code == 0
+        assert_one_outcome(code, out, err)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_overflowing_network_exit_4(self, eval_inputs, normalize):
+        config = NetConfig(input_dim=4, hidden_dims=(3,), embed_dim=2, normalize_output=normalize)
+        code, out, err = eval_checkpoint_text(
+            eval_inputs, "\n".join(checkpoint_lines(config, scale=1e300)) + "\n"
+        )
+        assert code == 4
+        assert_one_outcome(code, out, err)
+        assert "non-finite embedding distance" in err
+
+
+BAD_MAGICS = ["", "HETERO-EMBED-NET v2", CHECKPOINT_MAGIC + " ", CHECKPOINT_MAGIC.lower()]
+BAD_KEYS = ["extra", "input dim", "", "Input_dim", "hidden_dim", "embed_dim", "layer0.weight"]
+BAD_VALUES = ["", "x", "0", "-2", "2.5", "1_0", "+4", " 4", "\u0664", "3", "99999999999999999999",
+              "yes", "True", "TRUE", "relu", "gelu", "1,,2", ",", "nan"]
+BAD_NAMES = ["layer9.weight", "layer0.weights", "foo", ".bias", "layer0.bias", "layer1.weight", "layer-1.bias"]
+BAD_INTS = ["", "x", "-1", "0", "2.0", "99999999999999999999", "1_0", "\u0663", "5"]
+BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "x", "0x1p3", "--1", "1.2.3", ""]
+GOOD_TOKENS = ["0", "-0.5", "1e-3", "7", "1_0", "\u0661.5"]
+
+
+@st.composite
+def checkpoint_texts(draw):
+    """Checkpoints like the writer's, each line at risk of one fault.
+
+    Returns the text and, when no fault was put in, the exit codes it may give.
+    """
+    faults = []
+
+    def fault():
+        faults.append(draw(st.integers(0, 39)) == 0)  # true about one time in 40
+        return faults[-1]
+
+    input_dim = draw(st.sampled_from([4, 4, 4, 3]))  # the manifest has 4 features
+    hidden = draw(st.sampled_from([(), (3,), (2, 3)]))
+    header = {
+        "input_dim": str(input_dim),
+        "hidden_dims": ",".join(str(d) for d in hidden),
+        "embed_dim": "2",
+        "activation": draw(st.sampled_from(["relu", "tanh"])),
+        "normalize_output": draw(st.sampled_from(["true", "false"])),
+    }
+    lines = [draw(st.sampled_from(BAD_MAGICS)) if fault() else CHECKPOINT_MAGIC]
+    head = []
+    for key, value in header.items():
+        if fault():
+            continue  # the line is left out
+        key = draw(st.sampled_from(BAD_KEYS)) if fault() else key
+        value = draw(st.sampled_from(BAD_VALUES)) if fault() else value
+        head.append(f"{key}={value}")
+    lines += draw(st.permutations(head)) if fault() else head
+    dims = [input_dim, *hidden, 2]
+    for i in range(len(dims) - 1):
+        for name, shape in ((f"layer{i}.weight", [dims[i + 1], dims[i]]), (f"layer{i}.bias", [dims[i + 1]])):
+            name = draw(st.sampled_from(BAD_NAMES)) if fault() else name
+            fields = [draw(st.sampled_from(BAD_INTS)) if fault() else str(n) for n in shape]
+            count = math.prod(shape) + (draw(st.sampled_from([-1, 1])) if fault() else 0)
+            values = [
+                draw(st.one_of(st.sampled_from(GOOD_TOKENS),
+                               st.floats(allow_nan=False, allow_infinity=False).map(repr)))
+                for _ in range(max(count, 0))
+            ]
+            if values and fault():
+                values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+            fields += values
+            sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+            lines.append(sep.join([name, *fields]))
+            if fault():
+                lines.append(draw(st.sampled_from(["", "   ", "layer0.weight", "x=1", "layer0.bias 0"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", "\u2028"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if any(faults):
+        return text, None
+    return text, (0, 4) if input_dim == 4 else (5,)  # a finite network may still overflow
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=checkpoint_texts())
+    def test_eval_exits_cleanly(self, eval_inputs, case):
+        text, expected = case
+        code, out, err = eval_checkpoint_text(eval_inputs, text)
+        assert_one_outcome(code, out, err)
+        if expected is not None:
+            assert code in expected
 
 
 class TestBadPaths:

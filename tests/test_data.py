@@ -46,6 +46,8 @@ def reference_load_manifest(path) -> Dataset:
         dim = int(header.split("dim=", 1)[1])
     except ValueError as exc:
         raise ParseError(f"{path}: bad dim in header") from exc
+    if dim < 1:
+        raise ParseError(f"{path}: header dim={dim}, expected >= 1")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
@@ -154,6 +156,12 @@ class TestLoadManifest:
         path = tmp_path / "empty.hem"
         path.write_text("")
         with pytest.raises(ParseError):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("dim,line", [(0, "s1,A,"), (-1, "s1,A,1"), (-1, "s1,A,")])
+    def test_non_positive_dim_refused_at_header(self, tmp_path, dim, line):
+        path = write_manifest(tmp_path, [line], dim=dim)
+        with pytest.raises(ParseError, match=f"header dim={dim}, expected >= 1"):
             load_manifest(path)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
@@ -283,6 +291,14 @@ class TestSaveManifest:
         path = tmp_path / "d.hem"
         dataset = Dataset(samples=[Sample(0, "s0", "A", np.zeros(2)), Sample(1, "s1", "A", features)], feature_dim=2)
         with pytest.raises(ShapeError, match="sample 1"):
+            save_manifest(dataset, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_non_positive_feature_dim_refused_before_open(self, tmp_path, dim):
+        path = tmp_path / "d.hem"
+        dataset = Dataset(samples=[Sample(0, "s0", "A", np.zeros(max(dim, 0)))], feature_dim=dim)
+        with pytest.raises(ParseError, match=f"feature_dim={dim}"):
             save_manifest(dataset, path)
         assert not path.exists()
 

@@ -65,6 +65,13 @@ class TestForward:
         net.weights[0] = np.zeros((2, 2))
         np.testing.assert_array_equal(forward(net, np.array([1.0, 2.0])), [0.0, 0.0])
 
+    def test_overflowed_norm_is_nan(self):
+        net = identity_net(2, normalize=True)
+        with np.errstate(over="ignore"):
+            out = forward_batch(net, np.array([[1e200, 1e200], [3.0, 4.0]]))
+        assert np.isnan(out[0]).all()
+        np.testing.assert_allclose(out[1], [0.6, 0.8])
+
     def test_dim_mismatch(self):
         net = identity_net(2)
         with pytest.raises(ShapeError):
@@ -226,3 +233,38 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match="duplicate"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda ls: ls[:6] + ["layer0.weight"] + ls[7:], "bad tensor line for layer0.weight"),
+            (lambda ls: ls[:7] + ["layer0.bias"] + ls[8:], "bad tensor line for layer0.bias"),
+            (lambda ls: ls[:6] + ["layer0.weight 2 x " + " ".join(ls[6].split()[3:])] + ls[7:],
+             "bad tensor line for layer0.weight"),
+            (lambda ls: ls[:7] + ["layer0.bias 2.0 " + " ".join(ls[7].split()[2:])] + ls[8:],
+             "bad tensor line for layer0.bias"),
+            (lambda ls: ls[:6] + ["layer0.weight -1 2 " + " ".join(ls[6].split()[3:])] + ls[7:],
+             "bad tensor line for layer0.weight"),
+            (lambda ls: ls[:6] + ["layer0.weight 2 2 1 2 3"] + ls[7:], "bad tensor line for layer0.weight"),
+            (lambda ls: ls[:6] + ["layer0.weight 2 2 1 x 3 4"] + ls[7:], "bad tensor line for layer0.weight"),
+            (lambda ls: [l.replace("normalize_output=true", "normalize_output=yes") for l in ls],
+             "normalize_output must be true or false, got 'yes'"),
+            (lambda ls: [l.replace("normalize_output=true", "normalize_output=") for l in ls],
+             "normalize_output must be true or false"),
+            (lambda ls: ls[:6] + ["extra_key=1"] + ls[6:], "unknown checkpoint key 'extra_key'"),
+            (lambda ls: [l.replace("input_dim=2", "input_dim=x") for l in ls], "bad checkpoint header"),
+            (lambda ls: [l.replace("activation=relu", "activation=gelu") for l in ls], "bad checkpoint header"),
+            (lambda ls: [l for l in ls if not l.startswith("embed_dim=")], "missing checkpoint key 'embed_dim'"),
+        ],
+    )
+    def test_malformed_text_names_the_file(self, tmp_path, edit, message):
+        # a writer-made checkpoint: magic, 5 header keys, layer0.weight, layer0.bias
+        net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        lines = path.read_text().splitlines()
+        assert [l.split()[0] for l in lines[6:]] == ["layer0.weight", "layer0.bias"]
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ConfigError, match=message) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")

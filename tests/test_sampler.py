@@ -5,6 +5,7 @@ from heteroembed.data import Dataset, Sample
 from heteroembed.sampler import (
     InfeasibleError,
     TupleSpec,
+    _compose,
     build_index,
     epoch_tuples,
     sample_tuple,
@@ -18,6 +19,82 @@ def make_dataset(identities, domains, per_group):
             for _ in range(per_group):
                 samples.append(Sample(len(samples), ident, dom, np.zeros(2)))
     return Dataset(samples=samples, feature_dim=2)
+
+
+def add_samples(ds, identity, domain, n):
+    for _ in range(n):
+        ds.samples.append(Sample(len(ds.samples), identity, domain, np.zeros(2)))
+    return ds
+
+
+# --- reference: the materialised enumeration the table-driven draw replaced ---
+
+
+def reference_feasible(index, spec):
+    """Every feasible (a, b, p, q) as one list, in draw order."""
+    if spec.domain_policy == "fixed":
+        pairs = [(spec.fixed_p, spec.fixed_q)]
+    else:
+        pairs = [(p, q) for p in index.domains for q in index.domains if p != q]
+    feasible = []
+    for p, q in pairs:
+        negatives = [b for b in index.identities
+                     if len(index.group(b, p)) >= 1 and len(index.group(b, q)) >= 1]
+        anchors = [a for a in index.identities
+                   if len(index.group(a, p)) >= 2 and len(index.group(a, q)) >= 1]
+        feasible += [(a, b, p, q) for a in anchors for b in negatives if b != a]
+    return feasible
+
+
+def reference_draws(index, rng, spec, n):
+    feasible = reference_feasible(index, spec)
+    tuples = []
+    for _ in range(n):
+        a, b, p, q = feasible[rng.integers(len(feasible))]
+        tuples.append(_compose(index, rng, spec, a, b, p, q))
+    return tuples
+
+
+def missing_domain_index():
+    ds = make_dataset(["a", "b", "c", "d"], ["0", "1"], 3)
+    add_samples(ds, "e", "0", 4)  # no domain 1: neither anchor nor negative
+    add_samples(ds, "f", "1", 1)  # no domain 0
+    return build_index(ds)
+
+
+def anchors_and_negatives_index():
+    # a, b: anchors (and negatives) both ways; c: anchor only for (0, 1);
+    # d: 1 sample per domain, a negative only; e: 2 samples in 0 only
+    ds = make_dataset(["a", "b"], ["0", "1"], 2)
+    add_samples(add_samples(ds, "c", "0", 3), "c", "1", 1)
+    add_samples(add_samples(ds, "d", "0", 1), "d", "1", 1)
+    return build_index(add_samples(ds, "e", "0", 2))
+
+
+def ragged_index():
+    ds = Dataset(samples=[], feature_dim=2)
+    for n, ident in enumerate(["a", "b", "c", "d", "e"]):
+        add_samples(add_samples(ds, ident, "0", 2 + n), ident, "1", 1 + 2 * n)
+    return build_index(ds)
+
+
+def sparse_index():
+    # 200 identities, only 3 of them with domain B
+    ids = [f"i{n:03d}" for n in range(200)]
+    ds = make_dataset(ids, ["A"], 5)
+    for ident in ids[:3]:
+        add_samples(ds, ident, "B", 5)
+    return build_index(ds)
+
+
+REFERENCE_CASES = {
+    "missing_domain": (missing_domain_index, TupleSpec(k=2)),
+    "anchors_are_negatives": (anchors_and_negatives_index, TupleSpec(k=2)),
+    "fixed": (anchors_and_negatives_index, TupleSpec(k=3, domain_policy="fixed", fixed_p="1", fixed_q="0")),
+    "k_truncation": (ragged_index, TupleSpec(k=5)),
+    "three_domains": (lambda: build_index(make_dataset(["a", "b", "c", "d"], ["x", "y", "z"], 3)), TupleSpec(k=2)),
+    "sparse_200": (sparse_index, TupleSpec()),
+}
 
 
 def check_tuple(tup, index, spec):
@@ -113,6 +190,75 @@ class TestSampleTuple:
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 12
         assert max(counts.values()) <= 0.15 * 2000
+
+
+class TestReferenceDraw:
+    """The table-driven draw returns exactly the materialised enumeration's tuples."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_epoch_tuples(self, case):
+        make_index, spec = REFERENCE_CASES[case]
+        index = make_index()
+        for seed in range(3):
+            got = epoch_tuples(index, np.random.default_rng(seed), spec, 300)
+            assert got == reference_draws(index, np.random.default_rng(seed), spec, 300)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_sample_tuple(self, case):
+        make_index, spec = REFERENCE_CASES[case]
+        index = make_index()
+        rng = np.random.default_rng(7)
+        got = [sample_tuple(index, rng, spec) for _ in range(100)]
+        assert got == reference_draws(index, np.random.default_rng(7), spec, 100)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_every_feasible_triple_drawn(self, case):
+        make_index, spec = REFERENCE_CASES[case]
+        index = make_index()
+        feasible = reference_feasible(index, spec)
+        assert len(set(feasible)) == len(feasible)
+        tuples = epoch_tuples(index, np.random.default_rng(0), spec, 40 * len(feasible))
+        keys = {(t.identity_a, t.identity_b, t.domain_p, t.domain_q) for t in tuples}
+        assert keys == set(feasible)
+        for t in tuples:
+            check_tuple(t, index, spec)
+
+    def test_dense_index_is_uniform(self):
+        # every identity is an anchor in every pair: 6 pairs x 6 anchors x 5 negatives
+        index = build_index(make_dataset([f"i{n}" for n in range(6)], ["0", "1", "2"], 3))
+        n = 18_000
+        tuples = epoch_tuples(index, np.random.default_rng(3), TupleSpec(k=2), n)
+        counts = {}
+        for t in tuples:
+            key = (t.identity_a, t.identity_b, t.domain_p, t.domain_q)
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 180
+        expected = n / 180
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 < 179 + 5 * (2 * 179) ** 0.5  # 179 degrees of freedom, mean + 5 sd
+
+    @pytest.mark.parametrize(
+        "make_ds,message",
+        [
+            (lambda: make_dataset(["a"], ["0", "1"], 3), "fewer than 2 identities"),
+            (lambda: make_dataset(["a", "b"], ["0"], 3), "no ordered domain pair"),
+            (lambda: make_dataset(["a", "b"], ["0", "1"], 1), "no identity has >= 2 samples"),
+            (lambda: add_samples(make_dataset(["a"], ["0", "1"], 3), "b", "0", 2), "no negative identity"),
+        ],
+    )
+    def test_infeasible_messages(self, make_ds, message):
+        index = build_index(make_ds())
+        for draw in (lambda rng: sample_tuple(index, rng, TupleSpec()),
+                     lambda rng: epoch_tuples(index, rng, TupleSpec(), 5)):
+            with pytest.raises(InfeasibleError, match=message):
+                draw(np.random.default_rng(0))
+        assert epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 0) == []
+
+    def test_fixed_policy_unknown_domain(self):
+        index = build_index(make_dataset(["a", "b"], ["0", "1"], 2))
+        spec = TupleSpec(domain_policy="fixed", fixed_p="0", fixed_q="9")
+        with pytest.raises(InfeasibleError, match="no identity has >= 2 samples"):
+            sample_tuple(index, np.random.default_rng(0), spec)
 
 
 class TestEpochTuples:
