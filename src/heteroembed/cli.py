@@ -43,6 +43,8 @@ from .net import (
     NetConfig,
     ShapeError,
     load_checkpoint,
+    parse_int,
+    parse_int_list,
     save_checkpoint,
 )
 from .sampler import InfeasibleError, TupleSpec
@@ -81,10 +83,6 @@ def _bool(raw: str) -> bool:
     raise ValueError(raw)
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v.strip())
-
-
 @dataclass(frozen=True)
 class SplitConfig:
     """How `train`, `eval` and `compare` split a manifest; the library takes both as arguments."""
@@ -97,36 +95,36 @@ class SplitConfig:
 # leaves out keeps the field's dataclass default. Values parse in table order,
 # so the first bad value in this order is the one reported.
 SYNTH_KEYS = {
-    "synth.n_identities": (SynthConfig, "n_identities", int),
-    "synth.samples_per_identity_per_domain": (SynthConfig, "samples_per_identity_per_domain", int),
-    "synth.feature_dim": (SynthConfig, "feature_dim", int),
+    "synth.n_identities": (SynthConfig, "n_identities", parse_int),
+    "synth.samples_per_identity_per_domain": (SynthConfig, "samples_per_identity_per_domain", parse_int),
+    "synth.feature_dim": (SynthConfig, "feature_dim", parse_int),
     "synth.cluster_spread": (SynthConfig, "cluster_spread", float),
     "synth.rotation_angle_degrees": (DomainShift, "rotation_angle_degrees", float),
     "synth.offset_magnitude": (DomainShift, "offset_magnitude", float),
     "synth.noise_scale": (DomainShift, "noise_scale", float),
-    "synth.seed": (SynthConfig, "seed", int),
+    "synth.seed": (SynthConfig, "seed", parse_int),
 }
 
 RUN_KEYS = {
-    "net.hidden_dims": (NetConfig, "hidden_dims", _int_list),
-    "net.embed_dim": (NetConfig, "embed_dim", int),
+    "net.hidden_dims": (NetConfig, "hidden_dims", parse_int_list),
+    "net.embed_dim": (NetConfig, "embed_dim", parse_int),
     "net.activation": (NetConfig, "activation", str),
     "net.normalize_output": (NetConfig, "normalize_output", _bool),
     "margins.alpha1": (Margins, "alpha1", float),
     "margins.alpha2": (Margins, "alpha2", float),
-    "tuple.k": (TupleSpec, "k", int),
+    "tuple.k": (TupleSpec, "k", parse_int),
     "tuple.domain_policy": (TupleSpec, "domain_policy", str),
     "tuple.fixed_p": (TupleSpec, "fixed_p", str),
     "tuple.fixed_q": (TupleSpec, "fixed_q", str),
     "optimizer.learning_rate": (TrainConfig, "learning_rate", float),
     "optimizer.decay": (TrainConfig, "lr_decay", float),
-    "epochs": (TrainConfig, "epochs", int),
-    "tuples_per_epoch": (TrainConfig, "tuples_per_epoch", int),
-    "batch_size": (TrainConfig, "batch_size", int),
-    "seed": (TrainConfig, "seed", int),
+    "epochs": (TrainConfig, "epochs", parse_int),
+    "tuples_per_epoch": (TrainConfig, "tuples_per_epoch", parse_int),
+    "batch_size": (TrainConfig, "batch_size", parse_int),
+    "seed": (TrainConfig, "seed", parse_int),
     "loss_mode": (TrainConfig, "loss_mode", str),
     "split.train_fraction": (SplitConfig, "train_fraction", float),
-    "split.enroll_per_identity": (SplitConfig, "enroll_per_identity", int),
+    "split.enroll_per_identity": (SplitConfig, "enroll_per_identity", parse_int),
 }
 
 RUN_KEYS_DOC = ", ".join(RUN_KEYS)
@@ -212,13 +210,7 @@ def _match(net, gallery: Dataset, probes: Dataset):
     # NumericalError, not as numpy warnings and metrics of NaN distances.
     with np.errstate(over="ignore", invalid="ignore"):
         gal_emb = embed_dataset(net, gallery)
-        probe_emb = embed_dataset(net, probes)
-        gal_ids = [s.id for s in gallery.samples]
-        probe_ids = [s.id for s in probes.samples]
-        dist = distance_matrix(
-            np.stack([probe_emb[i] for i in probe_ids]),
-            np.stack([gal_emb[i] for i in gal_ids]),
-        )
+        dist = distance_matrix(embed_dataset(net, probes), gal_emb)
     if not np.isfinite(dist).all():
         raise NumericalError("non-finite embedding distance: the network overflows on this data")
     gal_labels = [s.identity for s in gallery.samples]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import ShapeError
+from .net import ShapeError, parse_int
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
 # Manifest lines parsed or written per block: bounds the Python strings and
@@ -88,7 +88,7 @@ def load_manifest(path) -> Dataset:
     if not header.startswith(MANIFEST_MAGIC + " dim="):
         raise ParseError(f"{path}: bad header {header!r}")
     try:
-        dim = int(header.split("dim=", 1)[1])
+        dim = parse_int(header.split("dim=", 1)[1])
     except ValueError as exc:
         raise ParseError(f"{path}: bad dim in header") from exc
     if dim < 1:

@@ -44,18 +44,15 @@ class VerificationReport:
     gar_at: dict[float, float]
 
 
-def embed_dataset(net: EmbeddingNet, dataset: Dataset) -> dict[int, np.ndarray]:
-    """Embed every sample; returns id -> embedding."""
-    if not dataset.samples:
-        return {}
+def embed_dataset(net: EmbeddingNet, dataset: Dataset) -> np.ndarray:
+    """Embed every sample: row i of the (n, embed_dim) result is sample i's embedding."""
     if dataset.feature_dim != net.config.input_dim:
         raise ShapeError(
             f"dataset feature_dim {dataset.feature_dim} != net input_dim "
             f"{net.config.input_dim}"
         )
-    feats = np.stack([s.features for s in dataset.samples])
-    embs = forward_batch(net, feats)
-    return {s.id: embs[i] for i, s in enumerate(dataset.samples)}
+    feats = np.array([s.features for s in dataset.samples])
+    return forward_batch(net, feats.reshape(len(dataset), dataset.feature_dim))
 
 
 def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -73,17 +70,11 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def identify(
-    dist: np.ndarray,
-    probe_identities,
-    gallery_identities,
-    strict: bool = True,
-) -> IdentReport:
+def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentReport:
     """CMC over a probe x gallery distance matrix.
 
-    Ties break toward the lower gallery index. In strict mode a probe
-    identity missing from the gallery is an error; otherwise that probe is
-    never counted as retrieved at any rank.
+    Ties break toward the lower gallery index. A probe identity missing
+    from the gallery is an error.
     """
     dist = np.asarray(dist, dtype=np.float64)
     probe_identities = list(probe_identities)
@@ -96,9 +87,7 @@ def identify(
     hits = np.zeros(n_gallery, dtype=np.int64)
     for i, ident in enumerate(probe_identities):
         if ident not in gallery_set:
-            if strict:
-                raise ValueError(f"probe identity {ident!r} absent from gallery")
-            continue
+            raise ValueError(f"probe identity {ident!r} absent from gallery")
         order = np.argsort(dist[i], kind="stable")
         for rank, j in enumerate(order, start=1):
             if gallery_identities[j] == ident:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,19 @@ class ShapeError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid network or run configuration."""
+
+
+def parse_int(text: str) -> int:
+    """The integer an ASCII `-?[0-9]+` spelling names; ValueError for any other text."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Comma-separated `parse_int` items; the empty text is the empty tuple."""
+    return tuple(parse_int(v) for v in text.split(",")) if text else ()
 
 
 @dataclass(frozen=True)
@@ -46,30 +59,50 @@ class NetConfig:
         dims = [self.input_dim, *self.hidden_dims, self.embed_dim]
         return [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
 
+    @property
+    def n_params(self) -> int:
+        """Length of the flat parameter vector."""
+        return sum(out_dim * (in_dim + 1) for out_dim, in_dim in self.layer_dims)
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class EmbeddingNet:
-    config: NetConfig
-    weights: list[np.ndarray]  # each (out, in)
-    biases: list[np.ndarray]  # each (out,)
+    """A dense network whose parameters are one flat float64 vector, `params`.
 
-    def params(self) -> list[np.ndarray]:
-        """Flat parameter list, weights and biases interleaved per layer."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    Layout, layer by layer from input to output: the (out, in) weight
+    raveled row-major, then the (out,) bias. `weights` and `biases` are
+    tuples of views into `params`, so writing through them writes `params`.
+    """
+
+    config: NetConfig
+    params: np.ndarray
+    weights: tuple[np.ndarray, ...] = field(init=False)  # each (out, in)
+    biases: tuple[np.ndarray, ...] = field(init=False)  # each (out,)
+
+    def __post_init__(self):
+        if self.params.dtype != np.float64 or self.params.shape != (self.config.n_params,):
+            raise ShapeError(f"params must be float64 of shape ({self.config.n_params},)")
+        weights, biases, start = [], [], 0
+        for out_dim, in_dim in self.config.layer_dims:
+            stop = start + out_dim * in_dim
+            weights.append(self.params[start:stop].reshape(out_dim, in_dim))
+            biases.append(self.params[stop : stop + out_dim])
+            start = stop + out_dim
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
+
+    def __reduce__(self):
+        # copy and pickle rebuild the views over the copied vector, not detached arrays
+        return EmbeddingNet, (self.config, self.params)
 
 
 def init_net(config: NetConfig, seed: int) -> EmbeddingNet:
     """Build a network with 1/sqrt(fan_in)-scaled Gaussian weights, zero biases."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for out_dim, in_dim in config.layer_dims:
-        weights.append(rng.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim))
-        biases.append(np.zeros(out_dim))
-    return EmbeddingNet(config=config, weights=weights, biases=biases)
+    net = EmbeddingNet(config, np.zeros(config.n_params))
+    for w in net.weights:
+        w[...] = rng.standard_normal(w.shape) / np.sqrt(w.shape[1])
+    return net
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -107,14 +140,12 @@ def forward(net: EmbeddingNet, x: np.ndarray) -> np.ndarray:
     return forward_batch(net, x[None, :])[0]
 
 
-def backward(
-    net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray
-) -> list[np.ndarray]:
-    """Gradients of sum_i <grad_i, g(x_i)> w.r.t. every parameter.
+def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i <grad_i, g(x_i)> w.r.t. the parameters.
 
-    Returns a list shaped like net.params(). Includes the Jacobian of the
-    output L2 normalization when it is enabled; near-zero pre-normalization
-    outputs pass through as identity (matching forward's guard).
+    Returns one flat vector laid out as `net.params`. Includes the Jacobian
+    of the output L2 normalization when it is enabled; near-zero
+    pre-normalization outputs pass through as identity (matching forward's guard).
     """
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     grad_embeddings = np.atleast_2d(np.asarray(grad_embeddings, dtype=np.float64))
@@ -146,8 +177,7 @@ def backward(
         proj = np.sum(g * y, axis=1, keepdims=True)
         g = np.where(safe, (g - proj * y) / np.where(safe, norms, 1.0), g)
 
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
+    parts = []  # weight and bias gradients, input to output
     for i in range(n_layers - 1, -1, -1):
         if i < n_layers - 1:
             z = pre[i]
@@ -155,69 +185,45 @@ def backward(
                 g = g * (z > 0)
             else:
                 g = g * (1.0 - np.tanh(z) ** 2)
-        grads_w[i] = g.T @ acts[i]
-        grads_b[i] = g.sum(axis=0)
+        parts[:0] = [(g.T @ acts[i]).ravel(), g.sum(axis=0)]
         if i > 0:
             g = g @ net.weights[i]
-
-    out = []
-    for gw, gb in zip(grads_w, grads_b):
-        out.append(gw)
-        out.append(gb)
-    return out
+    return np.concatenate(parts)
 
 
 @dataclass
 class AdamState:
+    """Adam's settings and moments; each moment is one flat vector laid out as the parameters."""
+
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    decay: float = 1.0
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
+    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("beta1/beta2 must lie in [0, 1)")
 
 
-def adam_step(
-    state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Returns new params and state."""
-    if len(params) != len(grads):
-        raise ShapeError("params/grads length mismatch")
-    if not state.first_moment:
-        state = replace(
-            state,
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-        )
-    if len(state.first_moment) != len(params):
-        raise ShapeError("accumulator/params length mismatch")
-
-    t = state.step_count + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ShapeError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, replace(
-        state, step_count=t, first_moment=new_m, second_moment=new_v
-    )
-
-
-def decay_learning_rate(state: AdamState) -> AdamState:
-    """Multiply the learning rate by the per-epoch decay factor."""
-    return replace(state, learning_rate=state.learning_rate * state.decay)
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update of `params`, the moments and the step count, in place."""
+    if params.shape != grad.shape:
+        raise ShapeError(f"shape mismatch: params {params.shape} vs grad {grad.shape}")
+    if state.step_count == 0:
+        state.first_moment, state.second_moment = np.zeros_like(params), np.zeros_like(params)
+    if state.first_moment.shape != params.shape:
+        raise ShapeError("accumulator/params shape mismatch")
+    state.step_count += 1
+    t = state.step_count
+    m, v = state.first_moment, state.second_moment
+    m[...] = state.beta1 * m + (1.0 - state.beta1) * grad
+    v[...] = state.beta2 * v + (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
 
 
 # --- checkpoint serialization ----------------------------------------------
@@ -232,7 +238,7 @@ def _fmt(x: float) -> str:
 
 def save_checkpoint(net: EmbeddingNet, path) -> None:
     """Write the network to the versioned text checkpoint format."""
-    if not all(np.isfinite(p).all() for p in net.params()):
+    if not np.isfinite(net.params).all():
         raise ConfigError("cannot save a network with non-finite parameters")
     cfg = net.config
     buf = io.StringIO()
@@ -276,11 +282,9 @@ def load_checkpoint(path) -> EmbeddingNet:
         )
     try:
         config = NetConfig(
-            input_dim=int(kv["input_dim"]),
-            hidden_dims=tuple(
-                int(d) for d in kv["hidden_dims"].split(",") if d
-            ),
-            embed_dim=int(kv["embed_dim"]),
+            input_dim=parse_int(kv["input_dim"]),
+            hidden_dims=parse_int_list(kv["hidden_dims"]),
+            embed_dim=parse_int(kv["embed_dim"]),
             activation=kv["activation"],
             normalize_output=kv["normalize_output"] == "true",
         )
@@ -298,7 +302,7 @@ def load_checkpoint(path) -> EmbeddingNet:
             raise ConfigError(f"{path}: unknown tensor {name!r}")
         n_dims = 2 if name.endswith(".weight") else 1
         try:
-            shape = tuple(int(v) for v in fields[:n_dims])
+            shape = tuple(parse_int(v) for v in fields[:n_dims])
             vals = np.array([float(v) for v in fields[n_dims:]], dtype=np.float64)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad tensor line for {name}") from exc
@@ -308,8 +312,7 @@ def load_checkpoint(path) -> EmbeddingNet:
         if not np.isfinite(tensors[name]).all():
             raise ConfigError(f"{path}: non-finite value in {name}")
 
-    n_layers = len(config.layer_dims)
-    weights, biases = [], []
+    parts = []
     for i, (out_dim, in_dim) in enumerate(config.layer_dims):
         w = tensors.get(f"layer{i}.weight")
         b = tensors.get(f"layer{i}.bias")
@@ -317,8 +320,7 @@ def load_checkpoint(path) -> EmbeddingNet:
             raise ConfigError(f"{path}: missing tensors for layer {i}")
         if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
             raise ShapeError(f"{path}: layer {i} shape mismatch with config")
-        weights.append(w)
-        biases.append(b)
-    if len(tensors) != 2 * n_layers:
+        parts += [w.ravel(), b]
+    if len(tensors) != 2 * len(config.layer_dims):
         raise ConfigError(f"{path}: unexpected extra tensors")
-    return EmbeddingNet(config=config, weights=weights, biases=biases)
+    return EmbeddingNet(config, np.concatenate(parts))

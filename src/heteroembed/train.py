@@ -20,7 +20,6 @@ from .net import (
     NetConfig,
     adam_step,
     backward,
-    decay_learning_rate,
     forward_batch,
     init_net,
 )
@@ -73,23 +72,22 @@ class TrainConfig:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.epochs < 0 or self.tuples_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs/tuples_per_epoch/batch_size out of range")
-
-
-def _seq_sum(values: np.ndarray) -> float:
-    """Left-to-right sum, the order a running per-tuple total adds in."""
-    return float(np.cumsum(values)[-1])
+        if not (0 < self.learning_rate < np.inf and 0 < self.lr_decay < np.inf):
+            raise ValueError(f"learning_rate and lr_decay must be finite and > 0, "
+                             f"got {self.learning_rate!r} and {self.lr_decay!r}")
 
 
 def _batch_step(
     net: EmbeddingNet,
     features: np.ndarray,
-    row_of: dict[int, int],
+    sample_ids: np.ndarray,
     batch: list[SampledTuple],
     margins: Margins,
     baseline: bool,
 ):
-    """Returns (param grads, sum loss, sum l1, sum l2, active hinges, total hinges).
+    """Returns the flat gradient and the sums (loss, l1, l2, active hinges, hinges).
 
+    `features[r]` is the sample whose id is `sample_ids[r]`, ids increasing.
     Each tuple fills a row of slots: anchor, same- and cross-domain
     positives, then its same- and cross-domain negatives, padded to the
     batch's largest sets. The baseline uses only the anchor, the same-domain
@@ -113,7 +111,7 @@ def _batch_step(
         in_use[:, 2] = in_use[:, 4:] = False
     rows = np.zeros(ids.shape, dtype=np.intp)
     rows[in_use] = np.arange(np.count_nonzero(in_use))
-    X = features[[row_of[i] for i in ids[in_use].tolist()]]
+    X = features[np.searchsorted(sample_ids, ids[in_use])]
     E = forward_batch(net, X)[rows]
 
     G = np.zeros_like(E)
@@ -129,53 +127,50 @@ def _batch_step(
         G[:, same], G[:, cross] = g.d_negs_same, g.d_negs_cross
 
     scale = 1.0 / len(batch)  # batch reduction: mean over tuples
-    param_grads = backward(net, X, scale * G[in_use])
+    grad = backward(net, X, scale * G[in_use])
     active = np.count_nonzero(l1 > 0) + np.count_nonzero(l2 > 0)
     hinges = len(batch) * (1 if baseline else 2)
-    return param_grads, _seq_sum(l1 + l2), _seq_sum(l1), _seq_sum(l2), active, hinges
+    # left-to-right sums, the order a running per-tuple total adds in
+    sums = np.cumsum([l1 + l2, l1, l2], axis=1)[:, -1]
+    return grad, np.append(sums, [active, hinges])
 
 
 # Overflow is reported once, as a NumericalError, not as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, TrainingLog]:
-    """Train an embedding network on the given dataset."""
+    """Train an embedding network on the given dataset; sample ids must be distinct."""
     index = build_index(dataset)
-    features = np.stack([s.features for s in dataset.samples])
-    row_of = {s.id: row for row, s in enumerate(dataset.samples)}
+    sample_ids, rows = np.unique([s.id for s in dataset.samples], return_index=True)
+    if len(sample_ids) != len(dataset.samples):
+        raise ValueError("sample ids must be distinct")
+    features = np.stack([s.features for s in dataset.samples])[rows]
     net = init_net(config.net, config.seed)
     sampler_rng = np.random.default_rng([config.seed, 1])
-    state = AdamState(learning_rate=config.learning_rate, decay=config.lr_decay)
+    state = AdamState(learning_rate=config.learning_rate)
     baseline = config.loss_mode == "triplet_baseline"
     log = TrainingLog()
 
     for epoch in range(config.epochs):
         tuples = epoch_tuples(index, sampler_rng, config.tuple_spec, config.tuples_per_epoch)
-        loss_sum = l1_sum = l2_sum = 0.0
-        active = hinges = 0
+        totals = np.zeros(5)  # running sums in batch order, as `_batch_step` returns them
         for start in range(0, len(tuples), config.batch_size):
             batch = tuples[start : start + config.batch_size]
-            grads, bl, b1, b2, ba, bh = _batch_step(
-                net, features, row_of, batch, config.margins, baseline
-            )
-            new_params, state = adam_step(state, net.params(), grads)
-            if not (np.isfinite(bl) and all(np.isfinite(x).all() for x in grads + new_params)):
+            grad, sums = _batch_step(net, features, sample_ids, batch, config.margins, baseline)
+            adam_step(state, net.params, grad)
+            if not (np.isfinite(sums[0]) and np.isfinite(grad).all() and np.isfinite(net.params).all()):
                 raise NumericalError(f"non-finite loss, gradient or parameter in epoch {epoch}")
-            net = EmbeddingNet(net.config, weights=new_params[0::2], biases=new_params[1::2])
-            loss_sum += bl
-            l1_sum += b1
-            l2_sum += b2
-            active += ba
-            hinges += bh
+            totals += sums
         n = len(tuples)
+        loss, l1, l2, active, hinges = totals.tolist()
         log.records.append(
             EpochRecord(
                 epoch=epoch,
-                mean_loss=loss_sum / n,
-                mean_l1=l1_sum / n,
-                mean_l2=l2_sum / n,
+                mean_loss=loss / n,
+                mean_l1=l1 / n,
+                mean_l2=l2 / n,
                 active_fraction=active / hinges if hinges else 0.0,
                 lr=state.learning_rate,
             )
         )
-        state = decay_learning_rate(state)
+        state.learning_rate *= config.lr_decay
     return net, log

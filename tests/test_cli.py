@@ -68,6 +68,61 @@ class TestConfigParsing:
             parse_config_file(path)
 
 
+class TestExactIntegers:
+    """Integers are ASCII digits with an optional leading `-`; the readers refuse other spellings."""
+
+    SPELLINGS = ["+4", " 4", "4 ", "1_0", "\u0664"]
+
+    @pytest.mark.parametrize("value", SPELLINGS)
+    @pytest.mark.parametrize("key", ["tuple.k", "epochs", "split.enroll_per_identity"])
+    def test_run_config_int_keys(self, key, value):
+        from heteroembed.data import ParseError
+
+        with pytest.raises(ParseError, match=key):
+            run_config_from({key: value}, 4)
+
+    @pytest.mark.parametrize("value", SPELLINGS)
+    def test_synth_config_int_keys(self, value):
+        from heteroembed.data import ParseError
+
+        with pytest.raises(ParseError, match="synth.seed"):
+            synth_config_from({"synth.seed": value})
+
+    @pytest.mark.parametrize("value,dims", [("", ()), ("8", (8,)), ("8,4", (8, 4))])
+    def test_hidden_dims(self, value, dims):
+        assert run_config_from({"net.hidden_dims": value}, 4)[0].net.hidden_dims == dims
+
+
+class TestRefusedBeforeTraining:
+    """A value the writers never emit or training cannot use: exit 2, one error line, no training."""
+
+    @pytest.mark.parametrize(
+        "line",
+        ["tuple.k=+4", "tuple.k=1_0", "tuple.k=\u0664", "epochs=+1",
+         "net.hidden_dims=8,,8", "net.hidden_dims=3,,", "net.hidden_dims=,",
+         "optimizer.learning_rate=nan", "optimizer.learning_rate=-1", "optimizer.learning_rate=0",
+         "optimizer.learning_rate=inf", "optimizer.decay=inf", "optimizer.decay=0", "optimizer.decay=nan"],
+    )
+    def test_config_value(self, tmp_path, small_manifest, monkeypatch, line):
+        monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN + line + "\n")
+        code, out, err = run_main(["train", "--config", cfg, "--data", small_manifest, "--out", tmp_path / "n.ckpt"])
+        assert code == 2
+        assert_one_outcome(code, out, err)
+
+    @pytest.mark.parametrize("dim", ["+4", " 4", "4 ", "1_0", "\u0664"])
+    def test_manifest_dim(self, tmp_path, small_manifest, monkeypatch, dim):
+        monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
+        header, body = small_manifest.read_text().split("\n", 1)
+        data = tmp_path / "edited.hem"
+        data.write_text(header.replace("dim=4", f"dim={dim}") + "\n" + body, encoding="utf-8")
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN)
+        code, out, err = run_main(["train", "--config", cfg, "--data", data, "--out", tmp_path / "n.ckpt"])
+        assert code == 2
+        assert_one_outcome(code, out, err)
+        assert "bad dim in header" in err
+
+
 class TestSynth:
     def test_default_line_count(self, tmp_path, capsys):
         out = tmp_path / "d.hem"
@@ -120,8 +175,7 @@ class TestTrain:
 
         net = load_checkpoint(ckpt)
         init = init_net(net.config, 3)
-        for a, b in zip(net.params(), init.params()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(net.params, init.params)
 
     def test_infeasible_data_exit_3(self, tmp_path):
         # single identity: the sampler cannot build any tuple
@@ -157,7 +211,7 @@ class TestEval:
         data = tmp_path / "toy.hem"
         data.write_text("".join(l + "\n" for l in lines))
         net = init_net(NetConfig(input_dim=2, hidden_dims=(), embed_dim=2, normalize_output=False), 0)
-        net.weights[0] = np.eye(2)
+        net.weights[0][...] = np.eye(2)
         ckpt = tmp_path / "id.ckpt"
         save_checkpoint(net, ckpt)
         cfg = write(tmp_path / "run.cfg", "split.train_fraction=0.5\nsplit.enroll_per_identity=2\n")
@@ -189,6 +243,16 @@ class TestEval:
             ]) == 0
             outputs.append((capsys.readouterr().out, roc_out.read_bytes(), cmc_out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("gallery,probe", [("A", "B"), ("B", "A")])
+    def test_empty_side_is_refused(self, gallery, probe):
+        from heteroembed.cli import evaluate_cross_domain
+        from heteroembed.data import Dataset, Sample
+
+        samples = [Sample(0, "a", "A", np.zeros(2)), Sample(1, "b", "A", np.ones(2))]
+        net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
+        with pytest.raises(ValueError, match="must be nonempty"):
+            evaluate_cross_domain(net, Dataset(samples=samples, feature_dim=2), gallery, probe)
 
     def test_dim_mismatch_exit_5(self, tmp_path, small_manifest):
         net = init_net(NetConfig(input_dim=7, embed_dim=4), 0)
@@ -247,7 +311,8 @@ def assert_one_outcome(code, out, err):
 
 def checkpoint_lines(net_config=NetConfig(input_dim=4, hidden_dims=(3,), embed_dim=2), scale=1.0):
     net = init_net(net_config, 0)
-    net.weights = [w * scale for w in net.weights]
+    for w in net.weights:
+        w *= scale
     with tempfile.TemporaryDirectory() as tmp:
         save_checkpoint(net, Path(tmp) / "net.ckpt")
         return (Path(tmp) / "net.ckpt").read_text().splitlines()
@@ -264,6 +329,12 @@ class TestCheckpointText:
             lambda ls: ls[:6] + ["layer0.weight three 4 " + " ".join(ls[6].split()[3:])] + ls[7:],
             lambda ls: [l.replace("normalize_output=true", "normalize_output=1") for l in ls],
             lambda ls: ls[:6] + ["dropout=0.5"] + ls[6:],
+            *[lambda ls, v=v: [l.replace("input_dim=4", f"input_dim={v}") for l in ls]
+              for v in ("+4", " 4", "1_0", "\u0664")],
+            *[lambda ls, v=v: [l.replace("hidden_dims=3", f"hidden_dims={v}") for l in ls]
+              for v in ("3,,", "3,,3")],
+            *[lambda ls, v=v: ls[:6] + [ls[6].replace("weight 3 4", v)] + ls[7:]
+              for v in ("weight 3 +4", "weight \u0663 4", "weight 0_3 4")],
         ],
     )
     def test_exit_2_one_line(self, eval_inputs, edit):

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -42,10 +43,10 @@ def reference_load_manifest(path) -> Dataset:
     header = lines[0]
     if not header.startswith(MANIFEST_MAGIC + " dim="):
         raise ParseError(f"{path}: bad header {header!r}")
-    try:
-        dim = int(header.split("dim=", 1)[1])
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad dim in header") from exc
+    spelled = header.split("dim=", 1)[1]
+    if not re.fullmatch("-?[0-9]+", spelled):  # ASCII digits: no sign, space, `_` or other script
+        raise ParseError(f"{path}: bad dim in header")
+    dim = int(spelled)
     if dim < 1:
         raise ParseError(f"{path}: header dim={dim}, expected >= 1")
     samples = []

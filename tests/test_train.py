@@ -1,9 +1,10 @@
+import dataclasses
 import importlib
 
 import numpy as np
 import pytest
 
-from heteroembed.data import DomainShift, SynthConfig, generate_synthetic
+from heteroembed.data import Dataset, DomainShift, SynthConfig, generate_synthetic
 from heteroembed.net import NetConfig, forward_batch, init_net
 from heteroembed.train import NumericalError, TrainConfig, train
 
@@ -36,8 +37,7 @@ def test_zero_epochs_keeps_init():
     cfg = small_config(epochs=0)
     net, log = train(ds, cfg)
     init = init_net(cfg.net, cfg.seed)
-    for a, b in zip(net.params(), init.params()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net.params, init.params)
     assert log.records == []
 
 
@@ -46,8 +46,7 @@ def test_deterministic():
     cfg = small_config()
     net_a, log_a = train(ds, cfg)
     net_b, log_b = train(ds, cfg)
-    for a, b in zip(net_a.params(), net_b.params()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(net_a.params, net_b.params)
     assert log_a.records == log_b.records
 
 
@@ -80,7 +79,7 @@ def test_parameters_change():
     cfg = small_config(epochs=3, tuples_per_epoch=100)
     net, _ = train(ds, cfg)
     init = init_net(cfg.net, cfg.seed)
-    assert any(not np.array_equal(a, b) for a, b in zip(net.params(), init.params()))
+    assert not np.array_equal(net.params, init.params)
     # trained net still emits unit-norm embeddings
     feats = np.stack([s.features for s in ds.samples[:10]])
     out = forward_batch(net, feats)
@@ -113,10 +112,44 @@ def test_non_finite_gradient_or_parameter_raises(monkeypatch, stage):
 
     def poisoned(*args):
         out = real(*args)
-        params = out[0] if stage == "adam_step" else out
-        params[0] = np.full_like(params[0], np.inf)
+        flat = args[1] if stage == "adam_step" else out  # updated in place, or returned
+        flat[0] = np.inf
         return out
 
     monkeypatch.setattr(htrain, stage, poisoned)
     with pytest.raises(NumericalError, match="epoch 0"):
         train(small_dataset(), small_config(epochs=1, tuples_per_epoch=8))
+
+
+@pytest.mark.parametrize("decay", [1.0, 0.95, 0.5])
+def test_learning_rate_decays_once_per_epoch(decay):
+    _, log = train(small_dataset(), small_config(epochs=3, learning_rate=2e-3, lr_decay=decay))
+    assert [r.lr for r in log.records] == [2e-3, 2e-3 * decay, 2e-3 * decay * decay]
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("learning_rate", v) for v in (float("nan"), -1.0, 0.0, float("inf"))]
+    + [("lr_decay", v) for v in (float("nan"), -0.5, 0.0, float("inf"))],
+)
+def test_non_finite_or_non_positive_rate_refused(field, value):
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        small_config(**{field: value})
+
+
+def test_duplicate_sample_ids_refused():
+    ds = small_dataset()
+    samples = list(ds.samples)
+    samples[1] = dataclasses.replace(samples[1], id=samples[0].id)
+    with pytest.raises(ValueError, match="sample ids must be distinct"):
+        train(Dataset(samples=samples, feature_dim=ds.feature_dim), small_config())
+
+
+def test_sample_order_does_not_matter():
+    # ids, not list positions, pick the feature rows
+    ds = small_dataset()
+    shuffled = Dataset(samples=ds.samples[::-1], feature_dim=ds.feature_dim)
+    net_a, log_a = train(ds, small_config())
+    net_b, log_b = train(shuffled, small_config())
+    assert net_a.params.tobytes() == net_b.params.tobytes()
+    assert log_a.records == log_b.records
