@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic two-domain manifest")
     p.add_argument("--config", help=f"flat key=value config ({', '.join(SYNTH_KEYS)})")
     p.add_argument("--out", required=True, help="output .hem manifest path")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train an embedding network")
@@ -356,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input .hem manifest")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log-out", help="training log CSV path (default <out>.log.csv)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--config", help=f"flat key=value config ({RUN_KEYS_DOC})")
     p.add_argument("--data", required=True, help="input .hem manifest")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed")
     p.add_argument("--roc-out", help="write the ROC curve CSV here")
     p.add_argument("--cmc-out", help="write the CMC curve CSV here")
     p.set_defaults(func=cmd_eval)
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="train+evaluate baseline and hetero losses")
     p.add_argument("--config", help=f"flat key=value config ({RUN_KEYS_DOC})")
     p.add_argument("--data", required=True, help="input .hem manifest")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", help="override the config seed")
     p.set_defaults(func=cmd_compare)
     return parser
 
@@ -379,6 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            try:
+                args.seed = parse_int(args.seed)
+            except ValueError as exc:
+                raise ParseError(f"option --seed: bad value {args.seed!r}") from exc
         return args.func(args)
     except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

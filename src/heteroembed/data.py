@@ -47,13 +47,6 @@ class Dataset:
     def domains(self) -> list[str]:
         return sorted({s.domain for s in self.samples})
 
-    def subset(self, sample_ids) -> "Dataset":
-        ids = set(sample_ids)
-        return Dataset(
-            samples=[s for s in self.samples if s.id in ids],
-            feature_dim=self.feature_dim,
-        )
-
 
 @dataclass
 class DomainShift:

@@ -80,11 +80,10 @@ def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
     """(..., K, D) vectors, from an array or a list of K equal-shape vectors,
     and the (..., K) mask of those in use: the first `count` of each set."""
-    if not isinstance(vectors, np.ndarray):
-        vectors = list(vectors)
-        if any(v.shape != vectors[0].shape for v in vectors):
-            raise ShapeError("mean_embedding over mixed dims")
-        vectors = np.stack(vectors, axis=-2) if vectors else np.empty((0, 0))
+    try:
+        vectors = np.asarray(vectors)
+    except ValueError as exc:  # a ragged list
+        raise ShapeError("mean_embedding over mixed dims") from exc
     if vectors.ndim < 2 or vectors.shape[-2] == 0:
         raise ValueError("mean_embedding of empty set")
     if count is None:
@@ -99,24 +98,20 @@ def mean_embedding(vectors, count=None) -> np.ndarray:
     """Component-wise mean of each nonempty set of equal-dim vectors.
 
     `vectors` is (..., K, D) or a list of K vectors; with `count`, only the
-    first count[...] vectors of each set take part. Each set is summed in a
-    canonical (lexicographically sorted) order, one after another, so the
-    result is bit-identical under any permutation of a set's vectors.
+    first count[...] vectors of each set take part. Each component is summed
+    in ascending order, one value after another, so the result is
+    bit-identical under any permutation of a set's vectors.
     """
     stack, in_use = _as_set(vectors, count)
-    *batch, k, dim = stack.shape
-    in_use = in_use.reshape(-1, k)
-    rows = stack.reshape(-1, dim)
-    sets = np.arange(len(in_use)).repeat(k)
-    # One sort for the whole batch: by set, then vectors in use first, then
-    # lexicographically by component.
-    order = np.lexsort((*rows.T[::-1], ~in_use.ravel(), sets))
-    ordered = rows[order].reshape(-1, k, dim)
-    n = in_use.sum(axis=1, keepdims=True)
-    total = ordered[:, 0]
-    for j in range(1, k):
-        total = np.where(j < n, total + ordered[:, j], total)
-    return (total / n).reshape(*batch, dim)
+    # Unused slots become NaN, which np.sort puts last: the first n values of
+    # each sorted component are the ones in use. A NaN in use stays among
+    # them, so it reaches the sum.
+    ordered = np.sort(np.where(in_use[..., None], stack, np.nan), axis=-2)
+    n = in_use.sum(axis=-1)[..., None]
+    total = ordered[..., 0, :]
+    for j in range(1, stack.shape[-2]):
+        total = np.where(j < n, total + ordered[..., j, :], total)
+    return total / n
 
 
 def _hinge(anchor, pos, negs, count, alpha: float):

@@ -73,27 +73,31 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
 def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentReport:
     """CMC over a probe x gallery distance matrix.
 
-    Ties break toward the lower gallery index. A probe identity missing
-    from the gallery is an error.
+    A probe's first genuine match is its closest same-identity gallery entry,
+    the lowest index among equals; its rank counts the entries strictly
+    closer plus the equal ones at a lower index. A NaN distance ranks after
+    every number, as `np.sort` puts it. A probe identity missing from the
+    gallery is an error.
     """
     dist = np.asarray(dist, dtype=np.float64)
     probe_identities = list(probe_identities)
     gallery_identities = list(gallery_identities)
     if dist.shape != (len(probe_identities), len(gallery_identities)):
         raise ShapeError("distance matrix does not match label lists")
-    gallery_set = set(gallery_identities)
     n_probes, n_gallery = dist.shape
+    same = np.asarray(probe_identities)[:, None] == np.asarray(gallery_identities)[None, :]
+    missing = np.flatnonzero(~same.any(axis=1))
+    if missing.size:
+        raise ValueError(f"probe identity {probe_identities[missing[0]]!r} absent from gallery")
 
-    hits = np.zeros(n_gallery, dtype=np.int64)
-    for i, ident in enumerate(probe_identities):
-        if ident not in gallery_set:
-            raise ValueError(f"probe identity {ident!r} absent from gallery")
-        order = np.argsort(dist[i], kind="stable")
-        for rank, j in enumerate(order, start=1):
-            if gallery_identities[j] == ident:
-                hits[rank - 1] += 1
-                break
-    cmc = np.cumsum(hits) / n_probes
+    nan = np.isnan(dist)
+    live = same & ~nan
+    found = live.any(axis=1, keepdims=True)  # else every genuine distance is NaN
+    best = np.min(dist, axis=1, where=live, initial=np.inf, keepdims=True)
+    hit = np.where(found, live & (dist == best), same)
+    earlier = ~np.logical_or.accumulate(hit, axis=1)  # before the first genuine match
+    ahead = np.where(found, (dist < best) | ((dist == best) & earlier), ~nan | earlier)
+    cmc = np.cumsum(np.bincount(ahead.sum(axis=1), minlength=n_gallery)) / n_probes
     return IdentReport(rank_accuracies=cmc, n_probes=n_probes, n_gallery=n_gallery)
 
 

@@ -111,6 +111,23 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
+def _layers(net: EmbeddingNet, inputs: np.ndarray) -> tuple[list, list]:
+    """Each layer's input and pre-activation, input to output; the output layer is linear."""
+    acts, pre = [], []
+    for w, b in zip(net.weights, net.biases):
+        acts.append(_activate(pre[-1], net.config.activation) if pre else inputs)
+        pre.append(acts[-1] @ w.T + b)
+    return acts, pre
+
+
+def _normalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of `u` over their L2 norms, and the norms. A row with norm <= NORM_GUARD
+    stays as it is; an overflowed norm gives NaN, not a silent zero row."""
+    norms = np.linalg.norm(u, axis=1, keepdims=True)
+    scale = np.where(norms > NORM_GUARD, norms, 1.0)
+    return u / np.where(np.isinf(norms), np.nan, scale), norms
+
+
 def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
     """Map a (n, input_dim) batch to (n, embed_dim) embeddings."""
     inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
@@ -118,18 +135,8 @@ def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input dim {inputs.shape[1]} != config input_dim {net.config.input_dim}"
         )
-    h = inputs
-    n_layers = len(net.weights)
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w.T + b
-        if i < n_layers - 1:
-            h = _activate(h, net.config.activation)
-    if net.config.normalize_output:
-        norms = np.linalg.norm(h, axis=1, keepdims=True)
-        # an overflowed norm gives NaN, not a silent zero row
-        scale = np.where(norms > NORM_GUARD, norms, 1.0)
-        h = h / np.where(np.isinf(norms), np.nan, scale)
-    return h
+    h = _layers(net, inputs)[1][-1]
+    return _normalize(h)[0] if net.config.normalize_output else h
 
 
 def forward(net: EmbeddingNet, x: np.ndarray) -> np.ndarray:
@@ -156,38 +163,22 @@ def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray)
     if grad_embeddings.shape[1] != net.config.embed_dim:
         raise ShapeError("gradient dim mismatch")
 
-    # Forward pass, caching pre-activations.
-    n_layers = len(net.weights)
-    acts = [inputs]  # layer inputs
-    pre = []
-    h = inputs
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T + b
-        pre.append(z)
-        h = _activate(z, net.config.activation) if i < n_layers - 1 else z
-        acts.append(h)
-
+    acts, pre = _layers(net, inputs)
     g = grad_embeddings
     if net.config.normalize_output:
-        u = pre[-1]
-        norms = np.linalg.norm(u, axis=1, keepdims=True)
+        y, norms = _normalize(pre[-1])
         safe = norms > NORM_GUARD
-        y = np.where(safe, u / np.where(safe, norms, 1.0), u)
         # d/du (u/|u|) applied to g: (g - <g,y> y) / |u|
         proj = np.sum(g * y, axis=1, keepdims=True)
         g = np.where(safe, (g - proj * y) / np.where(safe, norms, 1.0), g)
 
     parts = []  # weight and bias gradients, input to output
-    for i in range(n_layers - 1, -1, -1):
-        if i < n_layers - 1:
-            z = pre[i]
-            if net.config.activation == "relu":
-                g = g * (z > 0)
-            else:
-                g = g * (1.0 - np.tanh(z) ** 2)
+    for i in reversed(range(len(pre))):
         parts[:0] = [(g.T @ acts[i]).ravel(), g.sum(axis=0)]
-        if i > 0:
-            g = g @ net.weights[i]
+        if i:
+            h = acts[i]  # the activation of pre[i - 1]
+            slope = (h > 0) if net.config.activation == "relu" else 1.0 - h**2
+            g = (g @ net.weights[i]) * slope
     return np.concatenate(parts)
 
 

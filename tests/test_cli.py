@@ -1,9 +1,11 @@
 import io
 import math
+import re
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ from heteroembed.cli import (
     run_config_from,
     synth_config_from,
 )
-from heteroembed.data import load_manifest
+from heteroembed.data import DomainShift, SynthConfig, load_manifest
+from heteroembed.loss import Margins
 from heteroembed.net import CHECKPOINT_MAGIC, NetConfig, init_net, save_checkpoint
+from heteroembed.sampler import TupleSpec
+from heteroembed.train import TrainConfig
 
 
 def write(path, text):
@@ -110,6 +115,24 @@ class TestRefusedBeforeTraining:
         assert code == 2
         assert_one_outcome(code, out, err)
 
+    @pytest.mark.parametrize("value", ["+4", " 4", "4 ", "1_0", "\u0664", ""])
+    @pytest.mark.parametrize(
+        "argv",
+        ["synth --out {tmp}/d.hem",
+         "train --config {cfg} --data {data} --out {tmp}/n.ckpt",
+         "eval --checkpoint {ckpt} --config {cfg} --data {data}",
+         "compare --config {cfg} --data {data}"],
+    )
+    def test_seed_option(self, tmp_path, small_manifest, monkeypatch, argv, value):
+        for name in ("generate_synthetic", "train", "run_compare", "evaluate_enroll_probe"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        paths = dict(tmp=tmp_path, cfg=write(tmp_path / "run.cfg", SMALL_RUN), data=small_manifest, ckpt=ckpt)
+        code, out, err = run_main(argv.format(**paths).split() + ["--seed", value])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+
     @pytest.mark.parametrize("dim", ["+4", " 4", "4 ", "1_0", "\u0664"])
     def test_manifest_dim(self, tmp_path, small_manifest, monkeypatch, dim):
         monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
@@ -139,6 +162,14 @@ class TestSynth:
         out = tmp_path / "d.hem"
         assert main(["synth", "--config", cfg, "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 5
+
+    def test_seed_option_overrides_config(self, tmp_path):
+        by_option, by_config = tmp_path / "a.hem", tmp_path / "b.hem"
+        cfg = write(tmp_path / "c.cfg", SMALL_SYNTH)
+        assert main(["synth", "--config", cfg, "--out", str(by_option), "--seed", "7"]) == 0
+        cfg = write(tmp_path / "c.cfg", SMALL_SYNTH.replace("synth.seed=1", "synth.seed=7"))
+        assert main(["synth", "--config", cfg, "--out", str(by_config)]) == 0
+        assert by_option.read_bytes() == by_config.read_bytes()
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", "synth.bogus_knob=1\n")
@@ -434,6 +465,164 @@ class TestCheckpointProperty:
         assert_one_outcome(code, out, err)
         if expected is not None:
             assert code in expected
+
+
+# The config grammar as README states it, written apart from the CLI's tables:
+# key -> (object, field, kind of value).
+REFERENCE_KEYS = {
+    "net.hidden_dims": ("net", "hidden_dims", "ints"),
+    "net.embed_dim": ("net", "embed_dim", "int"),
+    "net.activation": ("net", "activation", "str"),
+    "net.normalize_output": ("net", "normalize_output", "bool"),
+    "margins.alpha1": ("margins", "alpha1", "float"),
+    "margins.alpha2": ("margins", "alpha2", "float"),
+    "tuple.k": ("tuple", "k", "int"),
+    "tuple.domain_policy": ("tuple", "domain_policy", "str"),
+    "tuple.fixed_p": ("tuple", "fixed_p", "str"),
+    "tuple.fixed_q": ("tuple", "fixed_q", "str"),
+    "optimizer.learning_rate": ("train", "learning_rate", "float"),
+    "optimizer.decay": ("train", "lr_decay", "float"),
+    "epochs": ("train", "epochs", "int"),
+    "tuples_per_epoch": ("train", "tuples_per_epoch", "int"),
+    "batch_size": ("train", "batch_size", "int"),
+    "seed": ("train", "seed", "int"),
+    "loss_mode": ("train", "loss_mode", "str"),
+    "split.train_fraction": ("split", "train_fraction", "float"),
+    "split.enroll_per_identity": ("split", "enroll_per_identity", "int"),
+    "synth.n_identities": ("synth", "n_identities", "int"),
+    "synth.samples_per_identity_per_domain": ("synth", "samples_per_identity_per_domain", "int"),
+    "synth.feature_dim": ("synth", "feature_dim", "int"),
+    "synth.cluster_spread": ("synth", "cluster_spread", "float"),
+    "synth.rotation_angle_degrees": ("shift", "rotation_angle_degrees", "float"),
+    "synth.offset_magnitude": ("shift", "offset_magnitude", "float"),
+    "synth.noise_scale": ("shift", "noise_scale", "float"),
+    "synth.seed": ("synth", "seed", "int"),
+}
+
+
+def reference_int(text):
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
+def reference_bool(text):
+    return {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}[text.lower()]
+
+
+REFERENCE_VALUES = {
+    "int": reference_int,
+    "ints": lambda text: tuple(map(reference_int, text.split(","))) if text else (),
+    "float": float,
+    "bool": reference_bool,
+    "str": str,
+}
+
+
+def reference_objects(text, command):
+    """repr of the objects `command` should build from config text, or None if it must refuse it."""
+    pairs = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, sep, value = line.partition("=")
+            if not sep:
+                return None
+            pairs[key.strip()] = value.strip()
+    if command == "compare":
+        pairs = {k: v for k, v in pairs.items() if not k.startswith("synth.")}
+        kwargs = {"net": {"hidden_dims": (32,)}, "margins": {}, "tuple": {}, "train": {}, "split": {}}
+    else:
+        kwargs = {"synth": {}, "shift": {}}
+    try:
+        for key, value in pairs.items():
+            group, name, kind = REFERENCE_KEYS.get(key, ("unknown", None, None))
+            if group not in kwargs:
+                return None
+            kwargs[group][name] = REFERENCE_VALUES[kind](value)
+        if command == "synth":
+            return repr(SynthConfig(domain_shift=DomainShift(**kwargs["shift"]), **kwargs["synth"]))
+        config = TrainConfig(
+            net=NetConfig(input_dim=4, **kwargs["net"]), margins=Margins(**kwargs["margins"]),
+            tuple_spec=TupleSpec(**kwargs["tuple"]), **kwargs["train"],
+        )
+        split = SplitConfig(**kwargs["split"])
+    except (KeyError, ValueError):
+        return None
+    return repr((config, split.train_fraction, split.enroll_per_identity))
+
+
+GOOD_VALUES = {
+    "int": ["0", "1", "2", "3", "8", "-1"],
+    "ints": ["", "8", "8,4", "3"],
+    "float": ["0", "0.5", "1", "1e-3", "0.25", "-0.5"],
+    "bool": ["true", "false", "Yes", "0"],
+    "str": ["relu", "tanh", "uniform_pair", "fixed", "A", "B", "hetero", "triplet_baseline"],
+}
+ODD_VALUES = {
+    "int": ["+4", " 4", "1_0", "\u0664", "1.0", "0x10", "-", "99999999999999999999"],
+    "ints": ["8,,8", ",", "8,", "8, 4", "+8", "8;4"],
+    "float": ["nan", "inf", "-inf", "1e400", "1_0", "0x1p3", ".", "1,0"],
+    "bool": ["on", "off", "y", "N", "TRUE", "2", ""],
+    "str": ["gelu", "RELU", "", "a=b", "x y"],
+}
+ODD_KEYS = ["bogus", "synth.bogus", "Seed", "net", "seed.", "=", ""]
+
+
+@st.composite
+def config_cases(draw):
+    """A command and config text: mostly keys it knows with plausible values, some junk in every part."""
+    command = draw(st.sampled_from(["compare", "synth"]))
+    keys = [k for k in REFERENCE_KEYS if k.startswith("synth.") == (command == "synth")]
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        shape = draw(st.integers(0, 9))
+        if shape == 0:
+            lines.append(draw(st.text(st.characters(exclude_categories=("Cs",)), max_size=12)))
+        elif shape == 1:
+            lines.append(draw(st.sampled_from(["", "  ", "# seed=x", "  #", "no equals sign"])))
+        else:
+            key = draw(st.sampled_from(keys) if shape > 3 else st.sampled_from([*REFERENCE_KEYS, *ODD_KEYS]))
+            kind = REFERENCE_KEYS.get(key, (None, None, "str"))[2]
+            values = GOOD_VALUES[kind] if draw(st.integers(0, 3)) else ODD_VALUES[kind]
+            value = draw(st.sampled_from(values) if shape > 2 else st.text(max_size=6))
+            pad = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(f"{pad}{key}{pad}={pad}{value}")
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", "\u2028"]),
+                         min_size=len(lines), max_size=len(lines)))
+    return command, "".join(line + end for line, end in zip(lines, ends))
+
+
+class Built(Exception):
+    """Raised in place of the work a command starts once its config is built."""
+
+
+def stop_with_arguments(*args):
+    raise Built(args)
+
+
+class TestConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(case=config_cases())
+    def test_builds_reference_objects_or_exits_2(self, eval_inputs, case):
+        data, _ = eval_inputs
+        command, text = case
+        expected = reference_objects(text, command)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            argv = ["compare", "--data", data] if command == "compare" else ["synth", "--out", Path(tmp) / "d.hem"]
+            stub = "run_compare" if command == "compare" else "generate_synthetic"
+            with mock.patch(f"heteroembed.cli.{stub}", stop_with_arguments):
+                try:
+                    code, out, err = run_main([*argv, "--config", cfg])
+                except Built as built:
+                    args = built.args[0]
+                    assert repr(args[1:] if command == "compare" else args[0]) == expected
+                    return
+        assert expected is None
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBadPaths:

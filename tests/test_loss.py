@@ -65,6 +65,16 @@ class TestMeanEmbedding:
         with pytest.raises(ValueError):
             mean_embedding([])
 
+    def test_mixed_dims_rejected(self):
+        with pytest.raises(ShapeError, match="mixed dims"):
+            mean_embedding([v(1, 0), v(1, 0, 0)])
+
+    def test_nan_ignored_unused_propagated_in_use(self):
+        sets = np.array([[[1.0, 2.0], [3.0, np.nan], [np.nan, np.nan]]])
+        np.testing.assert_array_equal(mean_embedding(sets, np.array([1])), [[1.0, 2.0]])
+        np.testing.assert_array_equal(mean_embedding(sets, np.array([2])), [[2.0, np.nan]])
+        assert np.isnan(mean_embedding(sets, np.array([3]))).all()
+
 
 class TestHingeTerms:
     def test_l1_separated(self):
@@ -277,9 +287,8 @@ class TestBatched:
         batch = ragged_batch(rng, 16, 3, 5, 1)
         before = mean_embedding(batch.negs_same, batch.n_same)
         for i, k in enumerate(batch.n_same):
-            # reference: one set, sorted lexicographically, summed left to right
-            rows = batch.negs_same[i, :k]
-            rows = rows[np.lexsort(rows.T[::-1])]
+            # reference: one set, each component sorted, summed left to right
+            rows = np.sort(batch.negs_same[i, :k], axis=0)
             total = rows[0]
             for r in rows[1:]:
                 total = total + r

@@ -171,6 +171,20 @@ class TestIdentify:
                 report.rank_accuracies, brute_cmc(dist, probe_ids, gallery_ids)
             )
 
+    def test_ties_nan_and_inf_rank_as_a_stable_sort(self):
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            gallery_ids = [f"g{i}" for i in rng.integers(0, 4, size=12)]
+            probe_ids = [gallery_ids[i] for i in rng.integers(0, 12, size=6)]
+            dist = rng.choice([0.0, -0.0, 1.0, 2.0, np.inf, np.nan], size=(6, 12))
+            # reference: each row in np.argsort's stable order (NaN last), first genuine entry
+            hits = np.zeros(12)
+            for i, row in enumerate(dist):
+                labels = np.array(gallery_ids)[np.argsort(row, kind="stable")]
+                hits[np.flatnonzero(labels == probe_ids[i])[0]] += 1
+            cmc = identify(dist, probe_ids, gallery_ids).rank_accuracies
+            np.testing.assert_array_equal(cmc, np.cumsum(hits) / 6)
+
     def test_monotone_cmc(self):
         rng = np.random.default_rng(9)
         gallery_ids = [f"g{i}" for i in range(10)]
