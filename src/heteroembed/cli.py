@@ -90,6 +90,20 @@ class SplitConfig:
     train_fraction: float = 0.8  # share of identities in the training side
     enroll_per_identity: int = 3  # gallery samples per test identity
 
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        if self.enroll_per_identity < 1:
+            raise ValueError(f"enroll_per_identity must be >= 1, got {self.enroll_per_identity}")
+
+
+def parse_seed(text: str) -> int:
+    """A `parse_int` seed that numpy accepts: >= 0."""
+    seed = parse_int(text)
+    if seed < 0:
+        raise ValueError(f"negative seed {seed}")
+    return seed
+
 
 # Config schemas: dotted key -> (config class, field, parser). A key a file
 # leaves out keeps the field's dataclass default. Values parse in table order,
@@ -102,7 +116,7 @@ SYNTH_KEYS = {
     "synth.rotation_angle_degrees": (DomainShift, "rotation_angle_degrees", float),
     "synth.offset_magnitude": (DomainShift, "offset_magnitude", float),
     "synth.noise_scale": (DomainShift, "noise_scale", float),
-    "synth.seed": (SynthConfig, "seed", parse_int),
+    "synth.seed": (SynthConfig, "seed", parse_seed),
 }
 
 RUN_KEYS = {
@@ -121,7 +135,7 @@ RUN_KEYS = {
     "epochs": (TrainConfig, "epochs", parse_int),
     "tuples_per_epoch": (TrainConfig, "tuples_per_epoch", parse_int),
     "batch_size": (TrainConfig, "batch_size", parse_int),
-    "seed": (TrainConfig, "seed", parse_int),
+    "seed": (TrainConfig, "seed", parse_seed),
     "loss_mode": (TrainConfig, "loss_mode", str),
     "split.train_fraction": (SplitConfig, "train_fraction", float),
     "split.enroll_per_identity": (SplitConfig, "enroll_per_identity", parse_int),
@@ -230,9 +244,15 @@ def report_lines(ident: IdentReport, verif: VerificationReport, prefix="") -> li
 # --- commands ---------------------------------------------------------------
 
 
-def _check_out_paths(*paths) -> None:
-    """Refuse, before any work starts, an output path the command could not write."""
-    for path in paths:
+def _check_out_paths(outputs: dict, inputs: dict) -> None:
+    """Refuse, before any work starts, an output path the command could not write.
+
+    Both dicts map an option name to its path (None where not given). An output
+    that resolves (`os.path.realpath`) to an input or to an earlier output is
+    refused too: the command would overwrite what it reads or writes.
+    """
+    taken = {os.path.realpath(path): option for option, path in inputs.items() if path is not None}
+    for option, path in outputs.items():
         if path is None:
             continue
         if os.path.isdir(path):
@@ -240,10 +260,14 @@ def _check_out_paths(*paths) -> None:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise OSError(f"cannot write {path}: no directory {parent}")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise OSError(f"cannot write {path}: {option} names the same file as {taken[real]}")
+        taken[real] = option
 
 
 def cmd_synth(args) -> int:
-    _check_out_paths(args.out)
+    _check_out_paths({"--out": args.out}, {"--config": args.config})
     cfg = parse_config_file(args.config) if args.config else {}
     config = synth_config_from(cfg, seed_override=args.seed)
     dataset = generate_synthetic(config)
@@ -263,7 +287,8 @@ def _run_inputs(args) -> tuple[Dataset, TrainConfig, float, int]:
 
 def cmd_train(args) -> int:
     log_path = args.log_out or (str(args.out) + ".log.csv")
-    _check_out_paths(args.out, log_path)
+    _check_out_paths({"--out": args.out, "--log-out": log_path},
+                     {"--data": args.data, "--config": args.config})
     dataset, config, train_fraction, _ = _run_inputs(args)
     train_set, _ = split_by_identity(dataset, train_fraction, config.seed)
     net, log = train(train_set, config)
@@ -277,7 +302,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_out_paths(args.roc_out, args.cmc_out)
+    _check_out_paths({"--roc-out": args.roc_out, "--cmc-out": args.cmc_out},
+                     {"--checkpoint": args.checkpoint, "--data": args.data, "--config": args.config})
     net = load_checkpoint(args.checkpoint)
     dataset, config, train_fraction, enroll = _run_inputs(args)
     if dataset.feature_dim != net.config.input_dim:
@@ -381,7 +407,7 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             try:
-                args.seed = parse_int(args.seed)
+                args.seed = parse_seed(args.seed)
             except ValueError as exc:
                 raise ParseError(f"option --seed: bad value {args.seed!r}") from exc
         return args.func(args)

@@ -69,6 +69,8 @@ class SynthConfig:
             raise ValueError("need at least 2 identities")
         if self.samples_per_identity_per_domain < 1 or self.feature_dim < 1:
             raise ValueError("counts and dims must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_manifest(path) -> Dataset:
@@ -201,12 +203,10 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         rot[1, 0] = math.sin(theta)
         rot[1, 1] = math.cos(theta)
 
+    direction = rng.standard_normal(dim)  # drawn for every offset: the stream stays aligned
     offset = np.zeros(dim)
     if shift.offset_magnitude != 0.0:
-        direction = rng.standard_normal(dim)
         offset = shift.offset_magnitude * direction / np.linalg.norm(direction)
-    else:
-        rng.standard_normal(dim)  # keep the stream aligned across offset settings
 
     # One draw in stream order: per identity its center, n domain-A scatters,
     # then n (scatter, noise) pairs for domain B.
@@ -233,6 +233,17 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     return Dataset(samples=samples, feature_dim=dim)
 
 
+def draw_distinct(rng: np.random.Generator, items: list, n: int) -> list:
+    """The first n items of a shuffled copy: min(n, len(items)) distinct ones, uniformly.
+
+    It uses the same random numbers, and returns the same items, as taking `items`
+    at the first n indices of `Generator.permutation(len(items))`.
+    """
+    drawn = list(items)
+    rng.shuffle(drawn)
+    return drawn[:n]
+
+
 def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     """Identity-disjoint train/test split; both sides keep at least one identity."""
     if not 0.0 < train_fraction < 1.0:
@@ -240,11 +251,8 @@ def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     identities = dataset.identities()
     if len(identities) < 2:
         raise ValueError("need at least 2 identities to split")
-    rng = np.random.default_rng(seed)
-    order = [identities[i] for i in rng.permutation(len(identities))]
-    n_train = round(train_fraction * len(identities))
-    n_train = min(max(n_train, 1), len(identities) - 1)
-    train_ids = set(order[:n_train])
+    n_train = min(max(round(train_fraction * len(identities)), 1), len(identities) - 1)
+    train_ids = set(draw_distinct(np.random.default_rng(seed), identities, n_train))
     train = [s for s in dataset.samples if s.identity in train_ids]
     test = [s for s in dataset.samples if s.identity not in train_ids]
     return (
@@ -258,20 +266,15 @@ def split_enroll_probe(dataset: Dataset, per_identity_enroll: int, seed: int):
     if per_identity_enroll < 1:
         raise ValueError("per_identity_enroll must be positive")
     by_identity: dict[str, list[Sample]] = {}
-    for s in dataset.samples:
+    for s in sorted(dataset.samples, key=lambda s: s.id):
         by_identity.setdefault(s.identity, []).append(s)
-    for ident in sorted(by_identity):
-        if len(by_identity[ident]) < per_identity_enroll + 1:
-            raise ValueError(
-                f"identity {ident!r} has {len(by_identity[ident])} samples, "
-                f"needs at least {per_identity_enroll + 1}"
-            )
     rng = np.random.default_rng(seed)
     gallery_ids = set()
-    for ident in sorted(by_identity):
-        group = sorted(by_identity[ident], key=lambda s: s.id)
-        picks = rng.permutation(len(group))[:per_identity_enroll]
-        gallery_ids.update(group[i].id for i in picks)
+    for ident, group in sorted(by_identity.items()):
+        if len(group) < per_identity_enroll + 1:
+            raise ValueError(f"identity {ident!r} has {len(group)} samples, "
+                             f"needs at least {per_identity_enroll + 1}")
+        gallery_ids.update(s.id for s in draw_distinct(rng, group, per_identity_enroll))
     gallery = [s for s in dataset.samples if s.id in gallery_ids]
     probes = [s for s in dataset.samples if s.id not in gallery_ids]
     return (

@@ -67,7 +67,7 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     for i, p in enumerate(probes):  # one row at a time: no (P, G, D) tensor
         diff = p - gallery
         d[i] = np.einsum("jk,jk->j", diff, diff)
-    return np.maximum(d, 0.0)
+    return d
 
 
 def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentReport:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, draw_distinct
 
 
 class InfeasibleError(ValueError):
@@ -34,6 +34,8 @@ class TupleSpec:
         if self.domain_policy == "fixed":
             if self.fixed_p is None or self.fixed_q is None or self.fixed_p == self.fixed_q:
                 raise ValueError("fixed policy needs two distinct domains")
+        elif self.fixed_p is not None or self.fixed_q is not None:
+            raise ValueError(f"fixed_p and fixed_q need domain_policy 'fixed', not {self.domain_policy!r}")
 
 
 @dataclass
@@ -81,22 +83,15 @@ def _domain_pairs(index: DatasetIndex, spec: TupleSpec) -> list[tuple[str, str]]
     return [(p, q) for p in index.domains for q in index.domains if p != q]
 
 
-def _draw_ids(rng: np.random.Generator, ids: list[int], n: int) -> list[int]:
-    picked = rng.permutation(len(ids))[:n]
-    return [ids[i] for i in picked]
-
-
 def _compose(index, rng, spec, a, b, p, q) -> SampledTuple:
-    anchor_id, pos_same_id = _draw_ids(rng, index.group(a, p), 2)
-    pos_cross_id = _draw_ids(rng, index.group(a, q), 1)[0]
-    neg_same = index.group(b, p)
-    neg_cross = index.group(b, q)
+    anchor_id, pos_same_id = draw_distinct(rng, index.group(a, p), 2)
+    (pos_cross_id,) = draw_distinct(rng, index.group(a, q), 1)
     return SampledTuple(
         anchor_id=anchor_id,
         pos_same_id=pos_same_id,
         pos_cross_id=pos_cross_id,
-        neg_same_ids=_draw_ids(rng, neg_same, min(spec.k, len(neg_same))),
-        neg_cross_ids=_draw_ids(rng, neg_cross, min(spec.k, len(neg_cross))),
+        neg_same_ids=draw_distinct(rng, index.group(b, p), spec.k),
+        neg_cross_ids=draw_distinct(rng, index.group(b, q), spec.k),
         identity_a=a,
         identity_b=b,
         domain_p=p,

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.epochs < 0 or self.tuples_per_epoch < 1 or self.batch_size < 1:
             raise ValueError("epochs/tuples_per_epoch/batch_size out of range")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (0 < self.learning_rate < np.inf and 0 < self.lr_decay < np.inf):
             raise ValueError(f"learning_rate and lr_decay must be finite and > 0, "
                              f"got {self.learning_rate!r} and {self.lr_decay!r}")

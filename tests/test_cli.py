@@ -106,7 +106,9 @@ class TestRefusedBeforeTraining:
         ["tuple.k=+4", "tuple.k=1_0", "tuple.k=\u0664", "epochs=+1",
          "net.hidden_dims=8,,8", "net.hidden_dims=3,,", "net.hidden_dims=,",
          "optimizer.learning_rate=nan", "optimizer.learning_rate=-1", "optimizer.learning_rate=0",
-         "optimizer.learning_rate=inf", "optimizer.decay=inf", "optimizer.decay=0", "optimizer.decay=nan"],
+         "optimizer.learning_rate=inf", "optimizer.decay=inf", "optimizer.decay=0", "optimizer.decay=nan",
+         "seed=-4", "tuple.fixed_p=Z", "tuple.fixed_q=Q", "split.enroll_per_identity=0",
+         "split.train_fraction=0", "split.train_fraction=1", "split.train_fraction=nan"],
     )
     def test_config_value(self, tmp_path, small_manifest, monkeypatch, line):
         monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
@@ -115,7 +117,21 @@ class TestRefusedBeforeTraining:
         assert code == 2
         assert_one_outcome(code, out, err)
 
-    @pytest.mark.parametrize("value", ["+4", " 4", "4 ", "1_0", "\u0664", ""])
+    @pytest.mark.parametrize(
+        "argv,key",
+        [("synth --config {cfg} --out {tmp}/d.hem", "synth.seed"),
+         ("train --config {cfg} --data {data} --out {tmp}/n.ckpt", "seed"),
+         ("compare --config {cfg} --data {data}", "seed")],
+    )
+    def test_negative_seed_key(self, tmp_path, small_manifest, monkeypatch, argv, key):
+        for name in ("generate_synthetic", "train", "run_compare"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN + f"{key}=-4\n")
+        code, out, err = run_main(argv.format(tmp=tmp_path, cfg=cfg, data=small_manifest).split())
+        assert (code, out, err) == (2, "", f"error: config key '{key}': bad value '-4'\n")
+        assert not (tmp_path / "d.hem").exists() and not (tmp_path / "n.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["+4", " 4", "4 ", "1_0", "\u0664", "", "-4"])
     @pytest.mark.parametrize(
         "argv",
         ["synth --out {tmp}/d.hem",
@@ -665,6 +681,43 @@ class TestBadPaths:
             argv += ["--log-out", str(tmp_path / log_out)]
         assert main(argv) == 2
         assert not (tmp_path / "n.ckpt").exists()
+
+
+class TestCollidingPaths:
+    """An output that resolves to an input or to another output: exit 2, one error line, nothing written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "train --config {cfg} --data {data} --out {tmp}/X --log-out {tmp}/X",
+            "train --config {cfg} --data {data} --out {tmp}/X --log-out {tmp}/sub/../X",
+            "train --config {cfg} --data {data} --out {tmp}/X --log-out {tmp}/link",
+            "train --config {cfg} --data {data} --out {data}",
+            "train --config {cfg} --data {data} --out {cfg}",
+            "train --config {cfg} --data {data} --out {tmp}/n --log-out {data}",
+            "train --config {cfg} --data {tmp}/n.log.csv --out {tmp}/n",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {tmp}/P --cmc-out {tmp}/P",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {ckpt}",
+            "eval --checkpoint {ckpt} --config {cfg} --data {data} --cmc-out {data}",
+            "synth --config {scfg} --out {scfg}",
+        ],
+    )
+    def test_exit_2_nothing_written(self, tmp_path, small_manifest, monkeypatch, argv):
+        for name in ("generate_synthetic", "train", "evaluate_enroll_probe"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "X")
+        (tmp_path / "n.log.csv").write_bytes(small_manifest.read_bytes())
+        paths = dict(tmp=tmp_path, cfg=write(tmp_path / "run.cfg", SMALL_RUN),
+                     scfg=write(tmp_path / "synth.cfg", SMALL_SYNTH), data=small_manifest, ckpt=ckpt)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        code, out, err = run_main(argv.format(**paths).split())
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert "names the same file as" in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestCompare:

@@ -17,6 +17,7 @@ from heteroembed.data import (
     ParseError,
     Sample,
     SynthConfig,
+    draw_distinct,
     generate_synthetic,
     load_manifest,
     save_manifest,
@@ -384,6 +385,90 @@ class TestGenerateSynthetic:
             return np.mean(gaps)
 
         assert mean_center_gap(2.0) > mean_center_gap(0.0)
+
+
+def reference_draw(rng, items, n):
+    """n distinct items as an index permutation mapped back to the items."""
+    return [items[i] for i in rng.permutation(len(items))[:n]]
+
+
+class TestDrawDistinct:
+    CASES = [(length, n) for length in [*range(9), 500]
+             for n in sorted({0, 1, max(length - 1, 0), length, length + 3})]
+
+    @pytest.mark.parametrize("length,n", CASES)
+    @pytest.mark.parametrize("kind", ["int", "object"])
+    def test_matches_index_permutation(self, length, n, kind):
+        items = list(range(100, 100 + length)) if kind == "int" else [object() for _ in range(length)]
+        before = list(items)
+        for seed in range(3):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = draw_distinct(rng, items, n)
+            assert got == reference_draw(ref_rng, items, n)
+            assert len(got) == min(n, length)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert items == before
+
+
+def reference_split_by_identity(dataset, train_fraction, seed):
+    identities = dataset.identities()
+    order = reference_draw(np.random.default_rng(seed), identities, len(identities))
+    n_train = min(max(round(train_fraction * len(identities)), 1), len(identities) - 1)
+    train_ids = set(order[:n_train])
+    return ([s.id for s in dataset.samples if s.identity in train_ids],
+            [s.id for s in dataset.samples if s.identity not in train_ids])
+
+
+def reference_split_enroll_probe(dataset, per_identity_enroll, seed):
+    rng = np.random.default_rng(seed)
+    gallery_ids = set()
+    for ident in dataset.identities():
+        group = sorted((s for s in dataset.samples if s.identity == ident), key=lambda s: s.id)
+        gallery_ids.update(s.id for s in reference_draw(rng, group, per_identity_enroll))
+    return ([s.id for s in dataset.samples if s.id in gallery_ids],
+            [s.id for s in dataset.samples if s.id not in gallery_ids])
+
+
+def ragged_dataset(seed):
+    """Identities with 3 to 9 samples, in shuffled record order."""
+    rng = np.random.default_rng(seed)
+    samples = [(f"id{i:02d}", "AB"[j % 2]) for i in range(20) for j in range(3 + i % 7)]
+    order = rng.permutation(len(samples))
+    return Dataset([Sample(int(k), *samples[k], np.zeros(1)) for k in order], feature_dim=1)
+
+
+class TestSplitDraws:
+    """Both splits draw as an index permutation mapped back to the items would."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("train_fraction", [0.05, 0.5, 0.8])
+    def test_split_by_identity(self, seed, train_fraction):
+        ds = ragged_dataset(seed)
+        train, test = split_by_identity(ds, train_fraction, seed)
+        got = ([s.id for s in train.samples], [s.id for s in test.samples])
+        assert got == reference_split_by_identity(ds, train_fraction, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("enroll", [1, 2])
+    def test_split_enroll_probe(self, seed, enroll):
+        ds = ragged_dataset(seed)
+        gallery, probes = split_enroll_probe(ds, enroll, seed)
+        got = ([s.id for s in gallery.samples], [s.id for s in probes.samples])
+        assert got == reference_split_enroll_probe(ds, enroll, seed)
+
+    def test_enroll_names_first_short_identity(self):
+        # id<i> has 3 + i % 7 samples: enrolling 3 leaves id00 and id07 without a probe
+        ds = ragged_dataset(0)
+        with pytest.raises(ValueError, match="'id00' has 3 samples"):
+            split_enroll_probe(ds, 3, seed=0)
+        ds.samples = [s for s in ds.samples if s.identity != "id00"]
+        with pytest.raises(ValueError, match="'id07' has 3 samples"):
+            split_enroll_probe(ds, 3, seed=0)
+
+
+def test_negative_seed_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SynthConfig(seed=-1)
 
 
 class TestSplitByIdentity:

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from heteroembed.data import Dataset, Sample
 from heteroembed.sampler import (
     InfeasibleError,
+    SampledTuple,
     TupleSpec,
     _compose,
     build_index,
@@ -291,3 +294,59 @@ class TestEpochTuples:
         for pair, n in counts.items():
             assert abs(n / 10_000 - expected) < 0.05, pair
         assert len(counts) == 6
+
+
+# --- reference: group members as an index permutation mapped back to ids ---
+
+
+def reference_members(rng, ids, n):
+    return [ids[i] for i in rng.permutation(len(ids))[:n]]
+
+
+def reference_compose(index, rng, spec, a, b, p, q):
+    anchor_id, pos_same_id = reference_members(rng, index.group(a, p), 2)
+    pos_cross_id = reference_members(rng, index.group(a, q), 1)[0]
+    neg_same, neg_cross = index.group(b, p), index.group(b, q)
+    return SampledTuple(
+        anchor_id, pos_same_id, pos_cross_id,
+        reference_members(rng, neg_same, min(spec.k, len(neg_same))),
+        reference_members(rng, neg_cross, min(spec.k, len(neg_cross))),
+        a, b, p, q,
+    )
+
+
+class TestMemberDraw:
+    """Members are drawn as the index-permutation reference draws them, on the same stream."""
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_epoch_tuples_match_reference(self, case):
+        make_index, spec = REFERENCE_CASES[case]
+        index = make_index()
+        feasible = reference_feasible(index, spec)
+        for seed in range(3):
+            ref_rng = np.random.default_rng(seed)
+            expected = [reference_compose(index, ref_rng, spec, *feasible[ref_rng.integers(len(feasible))])
+                        for _ in range(300)]
+            rng = np.random.default_rng(seed)
+            assert epoch_tuples(index, rng, spec, 300) == expected
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_groups_unchanged(self, case):
+        make_index, spec = REFERENCE_CASES[case]
+        index = make_index()
+        before = copy.deepcopy(index.groups)
+        epoch_tuples(index, np.random.default_rng(0), spec, 300)
+        assert index.groups == before
+
+
+class TestTupleSpec:
+    @pytest.mark.parametrize("fields", [dict(fixed_p="Z"), dict(fixed_q="Q"), dict(fixed_p="0", fixed_q="1")])
+    def test_fixed_domains_need_fixed_policy(self, fields):
+        with pytest.raises(ValueError, match="domain_policy 'fixed'"):
+            TupleSpec(**fields)
+
+    @pytest.mark.parametrize("p,q", [(None, "1"), ("0", None), ("0", "0")])
+    def test_fixed_policy_needs_two_distinct_domains(self, p, q):
+        with pytest.raises(ValueError, match="two distinct domains"):
+            TupleSpec(domain_policy="fixed", fixed_p=p, fixed_q=q)

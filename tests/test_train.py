@@ -137,6 +137,11 @@ def test_non_finite_or_non_positive_rate_refused(field, value):
         small_config(**{field: value})
 
 
+def test_negative_seed_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        small_config(seed=-1)
+
+
 def test_duplicate_sample_ids_refused():
     ds = small_dataset()
     samples = list(ds.samples)
