@@ -33,11 +33,9 @@ from .metrics import (
     distance_matrix,
     embed_dataset,
     identify,
-    roc,
     verification_report,
     verification_scores,
     write_cmc_csv,
-    write_roc_csv,
 )
 from .net import (
     NetConfig,
@@ -167,7 +165,7 @@ def synth_config_from(cfg: dict[str, str], seed_override=None) -> SynthConfig:
     config = SynthConfig(domain_shift=DomainShift(**kwargs[DomainShift]), **kwargs[SynthConfig])
     _reject_unknown(cfg, SYNTH_KEYS)
     if seed_override is not None:
-        config.seed = seed_override
+        config = replace(config, seed=seed_override)
     return config
 
 
@@ -189,7 +187,7 @@ def run_config_from(
     split = SplitConfig(**kwargs[SplitConfig])
     _reject_unknown(cfg, RUN_KEYS)
     if seed_override is not None:
-        config.seed = seed_override
+        config = replace(config, seed=seed_override)
     return config, split.train_fraction, split.enroll_per_identity
 
 
@@ -197,11 +195,14 @@ def run_config_from(
 
 
 def evaluate_enroll_probe(
-    net, test_set: Dataset, enroll_per_identity: int, seed: int
+    net, test_set: Dataset, enroll_per_identity: int, seed: int, roc_out=None
 ) -> tuple[IdentReport, VerificationReport, "np.ndarray", list, list]:
-    """Mixed-domain protocol: enroll a few samples per test identity."""
+    """Mixed-domain protocol: enroll a few samples per test identity.
+
+    With `roc_out`, the ROC curve is also written there as CSV.
+    """
     gallery, probes = split_enroll_probe(test_set, enroll_per_identity, seed)
-    return _match(net, gallery, probes)
+    return _match(net, gallery, probes, roc_out)
 
 
 def evaluate_cross_domain(
@@ -219,7 +220,7 @@ def evaluate_cross_domain(
     return _match(net, gallery, probes)
 
 
-def _match(net, gallery: Dataset, probes: Dataset):
+def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
     # A network that overflows on this data is reported once, as a
     # NumericalError, not as numpy warnings and metrics of NaN distances.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,7 +231,7 @@ def _match(net, gallery: Dataset, probes: Dataset):
     gal_labels = [s.identity for s in gallery.samples]
     probe_labels = [s.identity for s in probes.samples]
     ident = identify(dist, probe_labels, gal_labels)
-    verif = verification_report(verification_scores(dist, probe_labels, gal_labels))
+    verif = verification_report(verification_scores(dist, probe_labels, gal_labels), roc_out=roc_out)
     return ident, verif, dist, probe_labels, gal_labels
 
 
@@ -312,13 +313,11 @@ def cmd_eval(args) -> int:
             f"input_dim {net.config.input_dim}"
         )
     _, test_set = split_by_identity(dataset, train_fraction, config.seed)
-    ident, verif, dist, probe_labels, gal_labels = evaluate_enroll_probe(
-        net, test_set, enroll, config.seed
+    ident, verif, _, _, _ = evaluate_enroll_probe(
+        net, test_set, enroll, config.seed, roc_out=args.roc_out
     )
     for line in report_lines(ident, verif):
         print(line)
-    if args.roc_out:
-        write_roc_csv(roc(verification_scores(dist, probe_labels, gal_labels)), args.roc_out)
     if args.cmc_out:
         write_cmc_csv(ident, args.cmc_out)
     return 0

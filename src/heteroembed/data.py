@@ -55,7 +55,7 @@ class DomainShift:
     noise_scale: float = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     n_identities: int = 50
     samples_per_identity_per_domain: int = 20

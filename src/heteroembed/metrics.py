@@ -6,12 +6,18 @@ distance falls at or below the decision threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .net import EmbeddingNet, ShapeError, forward_batch
+
+# Probe x gallery entries per block in `identify` and `verification_scores`,
+# and impostor scores per block of `RocCurve.sweep`: bounds the temporaries,
+# not the results.
+BLOCK = 1 << 16
 
 
 @dataclass
@@ -20,11 +26,51 @@ class ScoreSet:
     impostor: np.ndarray  # different-identity distances
 
 
-@dataclass
+@dataclass(frozen=True)
 class RocCurve:
-    far: np.ndarray
-    gar: np.ndarray
-    threshold: np.ndarray
+    """A ROC held as its genuine and impostor scores, each sorted ascending.
+
+    The sweep's thresholds are -inf, every distinct score, then +inf; at each
+    one, FAR and GAR are the shares of impostor and genuine scores at or below
+    it. `far`, `gar` and `threshold` build those arrays when read.
+    """
+
+    genuine: np.ndarray
+    impostor: np.ndarray
+
+    def rates(self, threshold):
+        """(FAR, GAR) at a threshold or an array of thresholds."""
+        far = np.searchsorted(self.impostor, threshold, side="right") / self.impostor.size
+        gar = np.searchsorted(self.genuine, threshold, side="right") / self.genuine.size
+        return far, gar
+
+    def sweep(self):
+        """Yield (far, gar, threshold) arrays along the sweep, one block of impostor scores at a time."""
+        genuine, impostor = self.genuine, self.impostor
+        # Block b holds the scores from starts[b] up to, not including,
+        # starts[b + 1]: equal scores, and so each threshold, fall in one block.
+        starts = np.concatenate(([-np.inf], impostor[BLOCK::BLOCK]))
+        g = np.append(np.searchsorted(genuine, starts), genuine.size)
+        i = np.append(np.searchsorted(impostor, starts), impostor.size)
+        for b in range(starts.size):
+            threshold = np.unique(np.concatenate((genuine[g[b]:g[b + 1]], impostor[i[b]:i[b + 1]])))
+            if b == 0:
+                threshold = np.concatenate(([-np.inf], threshold))
+            if b == starts.size - 1:
+                threshold = np.concatenate((threshold, [np.inf]))
+            yield *self.rates(threshold), threshold
+
+    @property
+    def far(self) -> np.ndarray:
+        return np.concatenate([far for far, _, _ in self.sweep()])
+
+    @property
+    def gar(self) -> np.ndarray:
+        return np.concatenate([gar for _, gar, _ in self.sweep()])
+
+    @property
+    def threshold(self) -> np.ndarray:
+        return np.concatenate([threshold for _, _, threshold in self.sweep()])
 
 
 @dataclass
@@ -70,6 +116,25 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return d
 
 
+def _identity_codes(dist: np.ndarray, probe_identities: list, gallery_identities: list):
+    """(probe codes, gallery codes, genuine entries per probe) for a matching `dist`.
+
+    Equal codes are equal identities.
+    """
+    if dist.shape != (len(probe_identities), len(gallery_identities)):
+        raise ShapeError("distance matrix does not match label lists")
+    _, codes = np.unique(np.asarray(probe_identities + gallery_identities), return_inverse=True)
+    probe_codes, gallery_codes = np.split(codes, [len(probe_identities)])
+    per_probe = np.bincount(gallery_codes, minlength=codes.size)[probe_codes]
+    return probe_codes, gallery_codes, per_probe
+
+
+def _probe_blocks(dist: np.ndarray):
+    """Row slices of `dist` holding about BLOCK entries each."""
+    rows = max(1, BLOCK // max(1, dist.shape[1]))
+    return (slice(i, i + rows) for i in range(0, dist.shape[0], rows))
+
+
 def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentReport:
     """CMC over a probe x gallery distance matrix.
 
@@ -81,100 +146,137 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
     """
     dist = np.asarray(dist, dtype=np.float64)
     probe_identities = list(probe_identities)
-    gallery_identities = list(gallery_identities)
-    if dist.shape != (len(probe_identities), len(gallery_identities)):
-        raise ShapeError("distance matrix does not match label lists")
-    n_probes, n_gallery = dist.shape
-    same = np.asarray(probe_identities)[:, None] == np.asarray(gallery_identities)[None, :]
-    missing = np.flatnonzero(~same.any(axis=1))
+    probe_codes, gallery_codes, per_probe = _identity_codes(
+        dist, probe_identities, list(gallery_identities)
+    )
+    missing = np.flatnonzero(per_probe == 0)
     if missing.size:
         raise ValueError(f"probe identity {probe_identities[missing[0]]!r} absent from gallery")
 
-    nan = np.isnan(dist)
-    live = same & ~nan
-    found = live.any(axis=1, keepdims=True)  # else every genuine distance is NaN
-    best = np.min(dist, axis=1, where=live, initial=np.inf, keepdims=True)
-    hit = np.where(found, live & (dist == best), same)
-    earlier = ~np.logical_or.accumulate(hit, axis=1)  # before the first genuine match
-    ahead = np.where(found, (dist < best) | ((dist == best) & earlier), ~nan | earlier)
-    cmc = np.cumsum(np.bincount(ahead.sum(axis=1), minlength=n_gallery)) / n_probes
-    return IdentReport(rank_accuracies=cmc, n_probes=n_probes, n_gallery=n_gallery)
+    n_probes, n_gallery = dist.shape
+    hits = np.zeros(n_gallery, dtype=np.int64)
+    for rows in _probe_blocks(dist):
+        d = dist[rows]
+        same = probe_codes[rows, None] == gallery_codes
+        nan = np.isnan(d)
+        live = same & ~nan
+        found = live.any(axis=1, keepdims=True)  # else every genuine distance is NaN
+        best = np.min(d, axis=1, where=live, initial=np.inf, keepdims=True)
+        hit = np.where(found, live & (d == best), same)
+        earlier = ~np.logical_or.accumulate(hit, axis=1)  # before the first genuine match
+        ahead = np.where(found, (d < best) | ((d == best) & earlier), ~nan | earlier)
+        hits += np.bincount(ahead.sum(axis=1), minlength=n_gallery)
+    return IdentReport(rank_accuracies=np.cumsum(hits) / n_probes, n_probes=n_probes, n_gallery=n_gallery)
 
 
 def roc(scores: ScoreSet) -> RocCurve:
-    """Sweep all distinct distances (plus -inf/+inf sentinels) as thresholds."""
+    """The ROC of a score set: both score arrays sorted (one already sorted is not copied)."""
     genuine = np.asarray(scores.genuine, dtype=np.float64)
     impostor = np.asarray(scores.impostor, dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
         raise ValueError("genuine and impostor sets must be nonempty")
-    thresholds = np.concatenate(
-        ([-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf])
-    )
-    genuine_sorted = np.sort(genuine)
-    impostor_sorted = np.sort(impostor)
-    gar = np.searchsorted(genuine_sorted, thresholds, side="right") / genuine.size
-    far = np.searchsorted(impostor_sorted, thresholds, side="right") / impostor.size
-    return RocCurve(far=far, gar=gar, threshold=thresholds)
+    return RocCurve(genuine=_ascending(genuine), impostor=_ascending(impostor))
+
+
+def _ascending(scores: np.ndarray) -> np.ndarray:
+    return scores if (scores[1:] >= scores[:-1]).all() else np.sort(scores)
 
 
 def eer(curve: RocCurve) -> float:
-    """Operating point where FAR equals FRR, linearly interpolated."""
-    far = curve.far
-    frr = 1.0 - curve.gar
-    diff = far - frr  # non-decreasing along the threshold sweep
-    idx = int(np.searchsorted(diff, 0.0, side="left"))
-    if idx == 0:
-        return float(far[0])
-    if idx == len(diff):
-        return float(far[-1])
-    d0, d1 = diff[idx - 1], diff[idx]
-    if d1 == d0:
-        return float(far[idx])
+    """Operating point where FAR equals FRR, linearly interpolated.
+
+    FAR - FRR never falls along the sweep. The first threshold where it
+    reaches 0 is the lower of the first such genuine and impostor scores (or
+    +inf), each found by bisection; the interpolation runs from the sweep's
+    threshold just below it.
+    """
+
+    def far_minus_frr(threshold):
+        far, gar = curve.rates(threshold)
+        return far, far - (1.0 - gar)
+
+    far, diff = far_minus_frr(-np.inf)
+    if diff >= 0:
+        return float(far)
+    high = np.inf
+    for scores in (curve.genuine, curve.impostor):
+        j = bisect_left(scores, True, key=lambda s: far_minus_frr(s)[1] >= 0)
+        if j < scores.size:
+            high = min(high, scores[j])
+    low = max(_below(curve.genuine, high), _below(curve.impostor, high))
+    (f0, d0), (f1, d1) = far_minus_frr(low), far_minus_frr(high)
+    if d1 == d0:  # only NaN scores get here: otherwise d0 < 0 <= d1
+        return float(f1)
     t = -d0 / (d1 - d0)
-    return float(far[idx - 1] + t * (far[idx] - far[idx - 1]))
+    return float(f0 + t * (f1 - f0))
+
+
+def _below(scores: np.ndarray, threshold) -> float:
+    """The largest score under `threshold`, or -inf."""
+    j = np.searchsorted(scores, threshold, side="left")
+    return scores[j - 1] if j else -np.inf
 
 
 def gar_at_far(curve: RocCurve, far_level: float) -> float:
     """GAR at the requested FAR, interpolating between operating points.
 
-    Below the smallest achievable positive FAR the curve is taken as flat
-    at its FAR = 0 value.
+    An operating point is a FAR the sweep reaches, with the highest GAR it
+    reaches there: FAR c/n where c, the impostor scores accepted, is 0 or
+    the end of a run of equal scores, and GAR the share of genuine scores
+    below the next impostor score. Below the smallest achievable positive
+    FAR the curve is taken as flat at its lowest point.
     """
     if not 0.0 <= far_level <= 1.0:
         raise ValueError("far_level must lie in [0, 1]")
-    # Collapse to one (max) GAR per distinct FAR. `roc` returns FAR sorted; a
-    # hand-built curve may not be.
-    far = np.asarray(curve.far)
-    gar = np.asarray(curve.gar)
-    if not (far[1:] >= far[:-1]).all():
-        order = np.argsort(far, kind="stable")
-        far, gar = far[order], gar[order]
-    run_starts = np.ones(far.shape, dtype=bool)
-    run_starts[1:] = far[1:] != far[:-1]
-    starts = np.flatnonzero(run_starts)
-    fars = far[starts]
-    gars = np.maximum.reduceat(gar, starts)
-    positive = fars[fars > 0]
-    if positive.size and far_level < positive[0]:
-        return float(gars[fars == 0.0][0]) if (fars == 0.0).any() else float(gars[0])
-    return float(np.interp(far_level, fars, gars))
+    genuine, impostor = curve.genuine, curve.impostor
+    n = impostor.size
+
+    def best_gar(c):
+        if c == n:
+            return np.searchsorted(genuine, np.inf, side="right") / genuine.size
+        return np.searchsorted(genuine, impostor[c], side="left") / genuine.size
+
+    k = bisect_right(range(n + 1), far_level, key=lambda c: c / n) - 1  # largest c/n <= far_level
+    if k == n:
+        return float(best_gar(n))
+    low = np.searchsorted(impostor, impostor[k], side="left")  # the run of scores holding k
+    high = np.searchsorted(impostor, impostor[k], side="right")
+    if low == 0:  # below the first positive FAR: the lowest point, accepting only -inf impostors
+        return float(best_gar(np.searchsorted(impostor, -np.inf, side="right")))
+    return float(np.interp(far_level, [low / n, high / n], [best_gar(low), best_gar(high)]))
 
 
 def verification_scores(
     dist: np.ndarray, probe_identities, gallery_identities
 ) -> ScoreSet:
-    """Label every probe x gallery distance genuine or impostor by identity."""
+    """Label every probe x gallery distance genuine or impostor by identity; each set comes back sorted."""
     dist = np.asarray(dist, dtype=np.float64)
-    probe_identities = np.asarray(list(probe_identities))
-    gallery_identities = np.asarray(list(gallery_identities))
-    same = probe_identities[:, None] == gallery_identities[None, :]
-    return ScoreSet(genuine=dist[same], impostor=dist[~same])
+    probe_codes, gallery_codes, per_probe = _identity_codes(
+        dist, list(probe_identities), list(gallery_identities)
+    )
+    n_genuine = int(per_probe.sum())
+    genuine, impostor = np.empty(n_genuine), np.empty(dist.size - n_genuine)
+    g = i = 0
+    for rows in _probe_blocks(dist):
+        d = dist[rows]
+        same = probe_codes[rows, None] == gallery_codes
+        block_genuine, block_impostor = d[same], d[~same]
+        genuine[g:g + block_genuine.size] = block_genuine
+        impostor[i:i + block_impostor.size] = block_impostor
+        g += block_genuine.size
+        i += block_impostor.size
+    genuine.sort()
+    impostor.sort()
+    return ScoreSet(genuine=genuine, impostor=impostor)
 
 
 def verification_report(
-    scores: ScoreSet, far_levels=(0.001, 0.1)
+    scores: ScoreSet, far_levels=(0.001, 0.1), roc_out=None
 ) -> VerificationReport:
+    """EER and GAR at each FAR level; with `roc_out`, the curve is also written there."""
     curve = roc(scores)
+    if roc_out is not None:
+        write_roc_csv(curve, roc_out)
     return VerificationReport(
         eer=eer(curve),
         gar_at={f: gar_at_far(curve, f) for f in far_levels},
@@ -184,8 +286,11 @@ def verification_report(
 def write_roc_csv(curve: RocCurve, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write("far,gar,threshold\n")
-        for fa, ga, th in zip(curve.far, curve.gar, curve.threshold):
-            f.write(f"{fa:.9g},{ga:.9g},{th:.9g}\n")
+        for far, gar, threshold in curve.sweep():
+            f.writelines(
+                f"{fa:.9g},{ga:.9g},{th:.9g}\n"
+                for fa, ga, th in zip(far.tolist(), gar.tolist(), threshold.tolist())
+            )
 
 
 def write_cmc_csv(report: IdentReport, path) -> None:

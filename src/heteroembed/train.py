@@ -54,7 +54,7 @@ class TrainingLog:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     net: NetConfig
     margins: Margins = field(default_factory=Margins)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 import re
@@ -71,6 +72,14 @@ class TestConfigParsing:
 
         with pytest.raises(ParseError):
             parse_config_file(path)
+
+    def test_seed_override_passes_the_config_checks(self):
+        assert run_config_from({"seed": "3"}, 4, seed_override=7)[0].seed == 7
+        assert synth_config_from({"synth.seed": "3"}, seed_override=7).seed == 7
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_config_from({}, 4, seed_override=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            synth_config_from({}, seed_override=-1)
 
 
 class TestExactIntegers:
@@ -306,6 +315,56 @@ class TestEval:
         ckpt = tmp_path / "wrong.ckpt"
         save_checkpoint(net, ckpt)
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(small_manifest)]) == 5
+
+    def test_roc_out_writes_the_curve_the_report_used(self, tmp_path, small_manifest, capsys, monkeypatch):
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN)
+        ckpt = tmp_path / "net.ckpt"
+        main(["train", "--config", cfg, "--data", str(small_manifest), "--out", str(ckpt)])
+        capsys.readouterr()
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for module, name in [("heteroembed.cli", "verification_scores"), ("heteroembed.metrics", "roc")]:
+            monkeypatch.setattr(f"{module}.{name}", counted(name, getattr(importlib.import_module(module), name)))
+        roc_out = tmp_path / "roc.csv"
+        argv = ["eval", "--checkpoint", str(ckpt), "--config", cfg, "--data", str(small_manifest)]
+        assert main(argv + ["--roc-out", str(roc_out)]) == 0
+        assert calls == ["verification_scores", "roc"]
+        lines = roc_out.read_text().splitlines()
+        assert lines[0] == "far,gar,threshold" and lines[1].endswith(",-inf") and lines[-1] == "1,1,inf"
+        with_roc = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == with_roc
+
+    def test_cross_domain_memory_per_pair(self):
+        # Evaluation keeps the distance matrix plus the sorted genuine and
+        # impostor scores: about 16 bytes per probe x gallery pair.
+        import tracemalloc
+
+        from heteroembed.cli import evaluate_cross_domain
+        from heteroembed.data import Dataset, Sample
+
+        rng = np.random.default_rng(0)
+        samples = []
+        for domain in "AB":
+            for i in range(100):
+                for _ in range(10):
+                    samples.append(Sample(len(samples), f"id{i}", domain, rng.standard_normal(4)))
+        dataset = Dataset(samples=samples, feature_dim=4)
+        net = init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0)
+        tracemalloc.start()
+        try:
+            ident, verif, dist, _, _ = evaluate_cross_domain(net, dataset, "A", "B")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.shape == (1000, 1000) and 0.0 <= verif.eer <= 1.0
+        assert peak <= 24 * dist.size, f"{peak / dist.size:.1f} bytes per pair"
 
     def test_curve_csv_headers(self, tmp_path, small_manifest, capsys):
         cfg = write(tmp_path / "run.cfg", SMALL_RUN)

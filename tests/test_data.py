@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tempfile
@@ -469,6 +470,14 @@ class TestSplitDraws:
 def test_negative_seed_refused():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         SynthConfig(seed=-1)
+
+
+def test_synth_config_is_frozen():
+    # A field assigned after construction would skip the checks in __post_init__.
+    config = SynthConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = -1
+    assert config.seed == 0
 
 
 class TestSplitByIdentity:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heteroembed import metrics
 from heteroembed.data import Dataset, Sample
 from heteroembed.metrics import (
-    RocCurve,
     ScoreSet,
     distance_matrix,
     eer,
@@ -12,6 +14,7 @@ from heteroembed.metrics import (
     identify,
     roc,
     verification_scores,
+    write_roc_csv,
 )
 from heteroembed.net import NetConfig, ShapeError, forward_batch, init_net
 
@@ -70,6 +73,46 @@ def brute_cmc(dist, probe_ids, gallery_ids):
                 hits[rank - 1] += 1
                 break
     return np.cumsum(hits) / n_probes
+
+
+# --- reference: the curve at every threshold ---------------------------------
+# The metrics as computed from the whole per-threshold curve. `eer` and
+# `gar_at_far` read the same operating points from the two sorted score arrays
+# and must agree with these bit for bit.
+
+
+def sweep_curve(genuine, impostor):
+    genuine, impostor = np.asarray(genuine, dtype=float), np.asarray(impostor, dtype=float)
+    thresholds = np.concatenate(([-np.inf], np.unique(np.concatenate([genuine, impostor])), [np.inf]))
+    gar = np.searchsorted(np.sort(genuine), thresholds, side="right") / genuine.size
+    far = np.searchsorted(np.sort(impostor), thresholds, side="right") / impostor.size
+    return far, gar, thresholds
+
+
+def sweep_eer(far, gar):
+    diff = far - (1.0 - gar)
+    idx = int(np.searchsorted(diff, 0.0, side="left"))
+    if idx == 0:
+        return float(far[0])
+    if idx == len(diff):
+        return float(far[-1])
+    d0, d1 = diff[idx - 1], diff[idx]
+    if d1 == d0:
+        return float(far[idx])
+    t = -d0 / (d1 - d0)
+    return float(far[idx - 1] + t * (far[idx] - far[idx - 1]))
+
+
+def sweep_gar_at_far(far, gar, far_level):
+    run_starts = np.ones(far.shape, dtype=bool)
+    run_starts[1:] = far[1:] != far[:-1]
+    starts = np.flatnonzero(run_starts)
+    fars = far[starts]
+    gars = np.maximum.reduceat(gar, starts)
+    positive = fars[fars > 0]
+    if positive.size and far_level < positive[0]:
+        return float(gars[fars == 0.0][0]) if (fars == 0.0).any() else float(gars[0])
+    return float(np.interp(far_level, fars, gars))
 
 
 # --- embed / distance -------------------------------------------------------
@@ -281,35 +324,77 @@ class TestGarAtFar:
         rng = np.random.default_rng(17)
         genuine = np.round(rng.random(40), 1)  # ties give repeated FAR values
         impostor = np.round(rng.random(60) + 0.2, 1)
-        curve = roc(ScoreSet(genuine=genuine, impostor=impostor))
-        # shuffle the points and repeat some FARs with a lower GAR
-        far = np.concatenate([curve.far, curve.far[::3]])
-        gar = np.concatenate([curve.gar, curve.gar[::3] / 2])
-        order = rng.permutation(far.size)
-        hand = RocCurve(far=far[order], gar=gar[order], threshold=np.zeros(far.size))
+        curve = roc(ScoreSet(genuine=rng.permutation(genuine), impostor=rng.permutation(impostor)))
+        assert np.unique(curve.far).size < curve.far.size
         for level in (0.0, 0.001, 0.05, 0.1, 0.37, 1.0):
-            assert gar_at_far(hand, level) == pytest.approx(
+            assert gar_at_far(curve, level) == pytest.approx(
                 brute_gar_at_far(list(genuine), list(impostor), level), abs=1e-12
             )
 
     def test_sorted_and_shuffled_curves_agree(self):
         rng = np.random.default_rng(18)
-        curve = roc(ScoreSet(genuine=np.round(rng.random(40), 1), impostor=np.round(rng.random(60), 1)))
-        # a sorted curve whose repeated FARs carry other GARs, then the same points shuffled
-        far = np.concatenate([curve.far, curve.far[::2]])
-        gar = np.concatenate([curve.gar, rng.random(curve.far[::2].size)])
-        order = np.argsort(far, kind="stable")
-        shuffle = rng.permutation(far.size)
-        ordered = RocCurve(far=far[order], gar=gar[order], threshold=np.zeros(far.size))
-        shuffled = RocCurve(far=far[shuffle], gar=gar[shuffle], threshold=np.zeros(far.size))
+        genuine = np.round(rng.random(40), 1)
+        impostor = np.round(rng.random(60), 1)  # shares values with the genuine scores
+        ordered = roc(ScoreSet(genuine=np.sort(genuine), impostor=np.sort(impostor)))
+        shuffled = roc(ScoreSet(genuine=rng.permutation(genuine), impostor=rng.permutation(impostor)))
+        assert np.unique(ordered.far).size < ordered.far.size
         for level in (0.0, 0.001, 0.05, 0.1, 0.37, 1.0):
             assert gar_at_far(ordered, level) == gar_at_far(shuffled, level)
+            assert gar_at_far(shuffled, level) == pytest.approx(
+                brute_gar_at_far(list(genuine), list(impostor), level), abs=1e-12
+            )
 
     def test_monotone_in_level(self):
         rng = np.random.default_rng(15)
         curve = roc(ScoreSet(genuine=rng.random(50), impostor=rng.random(50)))
         values = [gar_at_far(curve, lv) for lv in np.linspace(0, 1, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+# Scores from a small pool give ties, shared genuine/impostor values and the
+# sweep's own -inf/+inf; other draws fall between the pool's values.
+SCORES = st.lists(
+    st.sampled_from([-np.inf, 0.0, 0.25, 0.5, 1.0, 2.0, np.inf]) | st.floats(0.0, 3.0),
+    min_size=1, max_size=30,
+)
+LEVELS = (0.0, 0.001, 0.01, 0.1, 0.25, 1 / 3, 0.37, 0.5, 1.0)
+
+
+class TestAgainstTheSweep:
+    @settings(max_examples=400, deadline=None)
+    @given(genuine=SCORES, impostor=SCORES)
+    def test_eer_and_gar_bit_identical(self, genuine, impostor):
+        curve = roc(ScoreSet(genuine=np.array(genuine), impostor=np.array(impostor)))
+        far, gar, threshold = sweep_curve(genuine, impostor)
+        assert eer(curve) == sweep_eer(far, gar)
+        for level in LEVELS:
+            assert gar_at_far(curve, level) == sweep_gar_at_far(far, gar, level)
+        assert curve.far.tobytes() == far.tobytes() and curve.gar.tobytes() == gar.tobytes()
+        assert curve.threshold.tobytes() == threshold.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_roc_csv_bytes(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(metrics, "BLOCK", block)  # the sweep is written a block at a time
+        rng = np.random.default_rng(19)
+        genuine = np.round(rng.random(30), 1)
+        impostor = np.round(rng.random(50) + 0.3, 1)
+        write_roc_csv(roc(ScoreSet(genuine=genuine, impostor=impostor)), tmp_path / "roc.csv")
+        expected = "far,gar,threshold\n" + "".join(
+            f"{f:.9g},{g:.9g},{t:.9g}\n" for f, g, t in brute_roc_points(genuine, impostor)
+        )
+        assert (tmp_path / "roc.csv").read_bytes() == expected.encode()
+
+    def test_scores_come_back_sorted_and_are_not_copied(self):
+        rng = np.random.default_rng(20)
+        gallery_ids = [f"g{i}" for i in rng.integers(0, 5, size=30)]
+        probe_ids = [gallery_ids[i] for i in rng.integers(0, 30, size=12)]
+        dist = np.round(rng.random((12, 30)), 2)
+        scores = verification_scores(dist, probe_ids, gallery_ids)
+        same = np.array(probe_ids)[:, None] == np.array(gallery_ids)[None, :]
+        assert scores.genuine.tobytes() == np.sort(dist[same]).tobytes()
+        assert scores.impostor.tobytes() == np.sort(dist[~same]).tobytes()
+        curve = roc(scores)
+        assert curve.genuine is scores.genuine and curve.impostor is scores.impostor
 
 
 class TestScaleConsistency:

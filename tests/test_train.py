@@ -142,6 +142,14 @@ def test_negative_seed_refused():
         small_config(seed=-1)
 
 
+def test_config_is_frozen():
+    # A field assigned after construction would skip the checks in __post_init__.
+    config = small_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = -1
+    assert config.seed == small_config().seed
+
+
 def test_duplicate_sample_ids_refused():
     ds = small_dataset()
     samples = list(ds.samples)
