@@ -15,8 +15,8 @@ from .data import Dataset
 from .net import EmbeddingNet, ShapeError, forward_batch
 
 # Probe x gallery entries per block in `identify` and `verification_scores`,
-# and impostor scores per block of `RocCurve.sweep`: bounds the temporaries,
-# not the results.
+# and ROC rows per block of `write_roc_csv`: bounds the temporaries, not the
+# results.
 BLOCK = 1 << 16
 
 
@@ -44,33 +44,24 @@ class RocCurve:
         gar = np.searchsorted(self.genuine, threshold, side="right") / self.genuine.size
         return far, gar
 
-    def sweep(self):
-        """Yield (far, gar, threshold) arrays along the sweep, one block of impostor scores at a time."""
-        genuine, impostor = self.genuine, self.impostor
-        # Block b holds the scores from starts[b] up to, not including,
-        # starts[b + 1]: equal scores, and so each threshold, fall in one block.
-        starts = np.concatenate(([-np.inf], impostor[BLOCK::BLOCK]))
-        g = np.append(np.searchsorted(genuine, starts), genuine.size)
-        i = np.append(np.searchsorted(impostor, starts), impostor.size)
-        for b in range(starts.size):
-            threshold = np.unique(np.concatenate((genuine[g[b]:g[b + 1]], impostor[i[b]:i[b + 1]])))
-            if b == 0:
-                threshold = np.concatenate(([-np.inf], threshold))
-            if b == starts.size - 1:
-                threshold = np.concatenate((threshold, [np.inf]))
-            yield *self.rates(threshold), threshold
+    def points(self):
+        """(far, gar, threshold) arrays, one entry per threshold of the sweep."""
+        threshold = np.concatenate(
+            ([-np.inf], np.unique(np.concatenate((self.genuine, self.impostor))), [np.inf])
+        )
+        return (*self.rates(threshold), threshold)
 
     @property
     def far(self) -> np.ndarray:
-        return np.concatenate([far for far, _, _ in self.sweep()])
+        return self.points()[0]
 
     @property
     def gar(self) -> np.ndarray:
-        return np.concatenate([gar for _, gar, _ in self.sweep()])
+        return self.points()[1]
 
     @property
     def threshold(self) -> np.ndarray:
-        return np.concatenate([threshold for _, _, threshold in self.sweep()])
+        return self.points()[2]
 
 
 @dataclass
@@ -273,23 +264,25 @@ def verification_scores(
 def verification_report(
     scores: ScoreSet, far_levels=(0.001, 0.1), roc_out=None
 ) -> VerificationReport:
-    """EER and GAR at each FAR level; with `roc_out`, the curve is also written there."""
+    """EER and GAR at each FAR level; with `roc_out`, the curve is then written there."""
     curve = roc(scores)
-    if roc_out is not None:
-        write_roc_csv(curve, roc_out)
-    return VerificationReport(
+    report = VerificationReport(
         eer=eer(curve),
         gar_at={f: gar_at_far(curve, f) for f in far_levels},
     )
+    if roc_out is not None:
+        write_roc_csv(curve, roc_out)
+    return report
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
+    points = curve.points()
     with open(path, "w", encoding="utf-8") as f:
         f.write("far,gar,threshold\n")
-        for far, gar, threshold in curve.sweep():
+        for start in range(0, points[0].size, BLOCK):  # BLOCK rows of Python floats at a time
             f.writelines(
                 f"{fa:.9g},{ga:.9g},{th:.9g}\n"
-                for fa, ga, th in zip(far.tolist(), gar.tolist(), threshold.tolist())
+                for fa, ga, th in zip(*(a[start:start + BLOCK].tolist() for a in points))
             )
 
 

@@ -374,7 +374,7 @@ class TestAgainstTheSweep:
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_roc_csv_bytes(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(metrics, "BLOCK", block)  # the sweep is written a block at a time
+        monkeypatch.setattr(metrics, "BLOCK", block)  # rows are written a block at a time
         rng = np.random.default_rng(19)
         genuine = np.round(rng.random(30), 1)
         impostor = np.round(rng.random(50) + 0.3, 1)
