@@ -9,8 +9,8 @@ from .loss import (
     triplet_loss,
     triplet_loss_grad,
 )
-from .net import AdamState, EmbeddingNet, NetConfig, forward, init_net
-from .sampler import TupleSpec, build_index, sample_tuple
+from .net import AdamState, EmbeddingNet, NetConfig, init_net
+from .sampler import TupleSpec, build_index
 from .train import TrainConfig, train
 
 __all__ = [
@@ -25,13 +25,11 @@ __all__ = [
     "TrainConfig",
     "TupleSpec",
     "build_index",
-    "forward",
     "generate_synthetic",
     "hetero_loss",
     "hetero_loss_grad",
     "init_net",
     "load_manifest",
-    "sample_tuple",
     "train",
     "triplet_loss",
     "triplet_loss_grad",

@@ -197,10 +197,7 @@ def run_config_from(
 def evaluate_enroll_probe(
     net, test_set: Dataset, enroll_per_identity: int, seed: int, roc_out=None
 ) -> tuple[IdentReport, VerificationReport, "np.ndarray", list, list]:
-    """Mixed-domain protocol: enroll a few samples per test identity.
-
-    With `roc_out`, the ROC curve is also written there as CSV.
-    """
+    """Mixed-domain protocol: enroll a few samples per test identity; the ROC CSV goes to `roc_out`."""
     gallery, probes = split_enroll_probe(test_set, enroll_per_identity, seed)
     return _match(net, gallery, probes, roc_out)
 
@@ -209,15 +206,11 @@ def evaluate_cross_domain(
     net, test_set: Dataset, gallery_domain: str, probe_domain: str
 ) -> tuple[IdentReport, VerificationReport, "np.ndarray", list, list]:
     """Gallery entirely in one domain, probes entirely in the other."""
-    gallery = Dataset(
-        samples=[s for s in test_set.samples if s.domain == gallery_domain],
-        feature_dim=test_set.feature_dim,
-    )
-    probes = Dataset(
-        samples=[s for s in test_set.samples if s.domain == probe_domain],
-        feature_dim=test_set.feature_dim,
-    )
-    return _match(net, gallery, probes)
+    return _match(net, _in_domain(test_set, gallery_domain), _in_domain(test_set, probe_domain))
+
+
+def _in_domain(dataset: Dataset, domain: str) -> Dataset:
+    return Dataset(samples=[s for s in dataset.samples if s.domain == domain], feature_dim=dataset.feature_dim)
 
 
 def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
@@ -235,10 +228,10 @@ def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
     return ident, verif, dist, probe_labels, gal_labels
 
 
-def report_lines(ident: IdentReport, verif: VerificationReport, prefix="") -> list[str]:
-    lines = [f"{prefix}rank1={ident.rank1:.9g}", f"{prefix}eer={verif.eer:.9g}"]
+def report_lines(ident: IdentReport, verif: VerificationReport) -> list[str]:
+    lines = [f"rank1={ident.rank1:.9g}", f"eer={verif.eer:.9g}"]
     for level in sorted(verif.gar_at):
-        lines.append(f"{prefix}gar@{level:g}={verif.gar_at[level]:.9g}")
+        lines.append(f"gar@{level:g}={verif.gar_at[level]:.9g}")
     return lines
 
 
@@ -323,16 +316,38 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _check_test_split(test_set: Dataset, enroll: int, seed: int, gallery: str, probe: str) -> None:
+    """Refuse, naming the identity or domain, a test split that `run_compare` could not score.
+
+    These failures depend on the labels alone, so they are found before training.
+    A one-identity split fails the last check: its gallery domain holds at most one.
+    """
+    split_enroll_probe(test_set, enroll, seed)  # raises for an identity with too few samples
+    held = {d: set(_in_domain(test_set, d).identities()) for d in (gallery, probe)}
+    for domain, identities in held.items():
+        if not identities:
+            raise ValueError(f"cross-domain protocol: the test split has no sample in domain {domain!r}")
+    missing = sorted(held[probe] - held[gallery])
+    if missing:
+        raise ValueError(f"cross-domain protocol: probe identity {missing[0]!r} has no sample "
+                         f"in gallery domain {gallery!r}")
+    if len(held[gallery]) < 2:
+        raise ValueError(f"cross-domain protocol: gallery domain {gallery!r} holds one identity, "
+                         f"{min(held[gallery])!r}: no impostor pair")
+
+
 def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, enroll: int):
     """Train baseline and hetero on identical data/seed; evaluate the same split.
 
     Returns a flat dict of metric keys. Cross-domain rows use the first
-    sorted domain as gallery and the second as probes.
+    sorted domain as gallery and the second as probes. A test split that
+    either protocol cannot score is refused before training.
     """
     train_set, test_set = split_by_identity(dataset, train_fraction, config.seed)
     domains = dataset.domains()
     if len(domains) < 2:
         raise InfeasibleError("compare needs at least 2 domains")
+    _check_test_split(test_set, enroll, config.seed, domains[0], domains[1])
     results: dict[str, float] = {}
     for mode in ("triplet_baseline", "hetero"):
         net, log = train(train_set, replace(config, loss_mode=mode))

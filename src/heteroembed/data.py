@@ -48,11 +48,21 @@ class Dataset:
         return sorted({s.domain for s in self.samples})
 
 
-@dataclass
+def _require_finite(config, *names: str) -> None:
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+@dataclass(frozen=True)
 class DomainShift:
     rotation_angle_degrees: float = 30.0
     offset_magnitude: float = 1.0
     noise_scale: float = 0.1
+
+    def __post_init__(self):
+        _require_finite(self, "rotation_angle_degrees", "offset_magnitude", "noise_scale")
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,7 @@ class SynthConfig:
             raise ValueError("counts and dims must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _require_finite(self, "cluster_spread")
 
 
 def load_manifest(path) -> Dataset:
@@ -184,6 +195,8 @@ def save_manifest(dataset: Dataset, path) -> None:
             f.writelines(row % (s.identity, s.domain, *v) for s, v in zip(chunk, rows))
 
 
+# Features that overflow are refused once, as a ValueError, not as numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(config: SynthConfig) -> Dataset:
     """Two-domain clustered data with a controlled domain shift.
 
@@ -224,6 +237,9 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         + shift.noise_scale * b_draws[:, :, 1]
     )
     features = np.concatenate([feats_a, feats_b], axis=1).reshape(-1, dim)
+    if not np.isfinite(features).all():
+        raise ValueError("synthetic features overflow: cluster_spread, offset_magnitude "
+                         "or noise_scale is too large")
     labels = [f"id{ident:03d}" for ident in range(config.n_identities)]
     domains = ["A"] * n + ["B"] * n
     samples = [

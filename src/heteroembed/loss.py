@@ -56,8 +56,6 @@ class LossValue:
     l1: np.ndarray
     l2: np.ndarray
     total: np.ndarray
-    l1_active: np.ndarray
-    l2_active: np.ndarray
 
 
 @dataclass
@@ -167,12 +165,6 @@ def hetero_loss_grad(tup: EmbeddingTuple, margins: Margins) -> tuple[LossValue, 
     l2, d_a2, d_pos_cross, d_negs_cross = _hinge(
         tup.anchor, tup.pos_cross, tup.negs_cross, tup.n_cross, margins.alpha2
     )
-    value = LossValue(l1=l1, l2=l2, total=l1 + l2, l1_active=l1 > 0, l2_active=l2 > 0)
-    grad = LossGrad(
-        d_anchor=d_a1 + d_a2,
-        d_pos_same=d_pos_same,
-        d_pos_cross=d_pos_cross,
-        d_negs_same=d_negs_same,
-        d_negs_cross=d_negs_cross,
-    )
+    value = LossValue(l1=l1, l2=l2, total=l1 + l2)
+    grad = LossGrad(d_a1 + d_a2, d_pos_same, d_pos_cross, d_negs_same, d_negs_cross)
     return value, grad

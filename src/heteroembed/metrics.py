@@ -19,6 +19,9 @@ from .net import EmbeddingNet, ShapeError, forward_batch
 # results.
 BLOCK = 1 << 16
 
+# The false accept rates every verification report gives the GAR at.
+FAR_LEVELS = (0.001, 0.1)
+
 
 @dataclass
 class ScoreSet:
@@ -67,8 +70,6 @@ class RocCurve:
 @dataclass
 class IdentReport:
     rank_accuracies: np.ndarray  # index r-1 = CMC at rank r
-    n_probes: int
-    n_gallery: int
 
     @property
     def rank1(self) -> float:
@@ -157,7 +158,7 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
         earlier = ~np.logical_or.accumulate(hit, axis=1)  # before the first genuine match
         ahead = np.where(found, (d < best) | ((d == best) & earlier), ~nan | earlier)
         hits += np.bincount(ahead.sum(axis=1), minlength=n_gallery)
-    return IdentReport(rank_accuracies=np.cumsum(hits) / n_probes, n_probes=n_probes, n_gallery=n_gallery)
+    return IdentReport(rank_accuracies=np.cumsum(hits) / n_probes)
 
 
 def roc(scores: ScoreSet) -> RocCurve:
@@ -261,14 +262,12 @@ def verification_scores(
     return ScoreSet(genuine=genuine, impostor=impostor)
 
 
-def verification_report(
-    scores: ScoreSet, far_levels=(0.001, 0.1), roc_out=None
-) -> VerificationReport:
-    """EER and GAR at each FAR level; with `roc_out`, the curve is then written there."""
+def verification_report(scores: ScoreSet, roc_out=None) -> VerificationReport:
+    """EER and GAR at each of FAR_LEVELS; with `roc_out`, the curve is then written there."""
     curve = roc(scores)
     report = VerificationReport(
         eer=eer(curve),
-        gar_at={f: gar_at_far(curve, f) for f in far_levels},
+        gar_at={f: gar_at_far(curve, f) for f in FAR_LEVELS},
     )
     if roc_out is not None:
         write_roc_csv(curve, roc_out)

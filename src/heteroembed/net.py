@@ -70,30 +70,32 @@ class EmbeddingNet:
     """A dense network whose parameters are one flat float64 vector, `params`.
 
     Layout, layer by layer from input to output: the (out, in) weight
-    raveled row-major, then the (out,) bias. `weights` and `biases` are
-    tuples of views into `params`, so writing through them writes `params`.
+    raveled row-major, then the (out,) bias. `weights` and `biases` build
+    tuples of views into `params` when read: writing through them writes `params`.
     """
 
     config: NetConfig
     params: np.ndarray
-    weights: tuple[np.ndarray, ...] = field(init=False)  # each (out, in)
-    biases: tuple[np.ndarray, ...] = field(init=False)  # each (out,)
 
     def __post_init__(self):
         if self.params.dtype != np.float64 or self.params.shape != (self.config.n_params,):
             raise ShapeError(f"params must be float64 of shape ({self.config.n_params},)")
-        weights, biases, start = [], [], 0
+
+    def _views(self):
+        """Each layer's (weight, bias) views, input to output."""
+        start = 0
         for out_dim, in_dim in self.config.layer_dims:
             stop = start + out_dim * in_dim
-            weights.append(self.params[start:stop].reshape(out_dim, in_dim))
-            biases.append(self.params[stop : stop + out_dim])
+            yield self.params[start:stop].reshape(out_dim, in_dim), self.params[stop : stop + out_dim]
             start = stop + out_dim
-        object.__setattr__(self, "weights", tuple(weights))
-        object.__setattr__(self, "biases", tuple(biases))
 
-    def __reduce__(self):
-        # copy and pickle rebuild the views over the copied vector, not detached arrays
-        return EmbeddingNet, (self.config, self.params)
+    @property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        return tuple(w for w, _ in self._views())
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        return tuple(b for _, b in self._views())
 
 
 def init_net(config: NetConfig, seed: int) -> EmbeddingNet:
@@ -114,7 +116,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
 def _layers(net: EmbeddingNet, inputs: np.ndarray) -> tuple[list, list]:
     """Each layer's input and pre-activation, input to output; the output layer is linear."""
     acts, pre = [], []
-    for w, b in zip(net.weights, net.biases):
+    for w, b in net._views():
         acts.append(_activate(pre[-1], net.config.activation) if pre else inputs)
         pre.append(acts[-1] @ w.T + b)
     return acts, pre
@@ -139,14 +141,6 @@ def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
     return _normalize(h)[0] if net.config.normalize_output else h
 
 
-def forward(net: EmbeddingNet, x: np.ndarray) -> np.ndarray:
-    """Embed a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError(f"expected 1-d input, got shape {x.shape}")
-    return forward_batch(net, x[None, :])[0]
-
-
 def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray) -> np.ndarray:
     """Gradient of sum_i <grad_i, g(x_i)> w.r.t. the parameters.
 
@@ -164,6 +158,7 @@ def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray)
         raise ShapeError("gradient dim mismatch")
 
     acts, pre = _layers(net, inputs)
+    weights = net.weights
     g = grad_embeddings
     if net.config.normalize_output:
         y, norms = _normalize(pre[-1])
@@ -178,25 +173,22 @@ def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray)
         if i:
             h = acts[i]  # the activation of pre[i - 1]
             slope = (h > 0) if net.config.activation == "relu" else 1.0 - h**2
-            g = (g @ net.weights[i]) * slope
+            g = (g @ weights[i]) * slope
     return np.concatenate(parts)
+
+
+# Adam's moment decay rates, and the guard added to the root of the second moment.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass
 class AdamState:
-    """Adam's settings and moments; each moment is one flat vector laid out as the parameters."""
+    """Adam's learning rate, step count and moments; a moment is one flat vector laid out as `params`."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
     second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("beta1/beta2 must lie in [0, 1)")
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
@@ -210,11 +202,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
-    m[...] = state.beta1 * m + (1.0 - state.beta1) * grad
-    v[...] = state.beta2 * v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 # --- checkpoint serialization ----------------------------------------------

@@ -125,17 +125,10 @@ def _feasible_table(index: DatasetIndex, spec: TupleSpec) -> tuple[list, list[in
     return table, ends
 
 
-def sample_tuple(
-    index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec
-) -> SampledTuple:
-    """Draw one training tuple, uniform over feasible (pair, anchor, negative)."""
-    return epoch_tuples(index, rng, spec, 1)[0]
-
-
 def epoch_tuples(
     index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec, n_tuples: int
 ) -> list[SampledTuple]:
-    """n_tuples independent draws from one RNG stream, one table for all of them."""
+    """n_tuples independent draws, each uniform over feasible (pair, anchor, negative), one table for all."""
     if n_tuples < 0:
         raise ValueError("n_tuples must be >= 0")
     if n_tuples == 0:

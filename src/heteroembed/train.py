@@ -164,15 +164,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, Training
             totals += sums
         n = len(tuples)
         loss, l1, l2, active, hinges = totals.tolist()
-        log.records.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_loss=loss / n,
-                mean_l1=l1 / n,
-                mean_l2=l2 / n,
-                active_fraction=active / hinges if hinges else 0.0,
-                lr=state.learning_rate,
-            )
-        )
+        log.records.append(EpochRecord(epoch=epoch, mean_loss=loss / n, mean_l1=l1 / n, mean_l2=l2 / n,
+                                       active_fraction=active / hinges, lr=state.learning_rate))
         state.learning_rate *= config.lr_decay
     return net, log

@@ -201,6 +201,20 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d.hem")]) == 2
         assert "synth.bogus_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [("synth.rotation_angle_degrees=nan", "rotation_angle_degrees must be finite"),
+         ("synth.offset_magnitude=inf", "offset_magnitude must be finite"),
+         ("synth.noise_scale=nan", "noise_scale must be finite"),
+         ("synth.cluster_spread=1e308", "synthetic features overflow")],
+    )
+    def test_non_finite_or_overflowing_setting_exit_2(self, tmp_path, line, message):
+        cfg = write(tmp_path / "c.cfg", SMALL_SYNTH + line + "\n")
+        code, out, err = run_main(["synth", "--config", cfg, "--out", tmp_path / "d.hem"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "d.hem").exists()
+
 
 class TestTrain:
     def test_end_to_end(self, tmp_path, small_manifest):
@@ -792,6 +806,42 @@ class TestCompare:
             for metric in ("rank1", "eer", "cross_rank1", "gar@0.001", "gar@0.1"):
                 assert f"{prefix}.{metric}" in keys
         assert "delta.rank1" in keys
+
+    @pytest.mark.parametrize(
+        "n_ids,per,drop,overrides,seed,message",
+        [
+            # too few samples per identity to enroll 6 and keep a probe
+            (10, 3, None, "split.enroll_per_identity=6", None,
+             "identity 'id001' has 6 samples, needs at least 7"),
+            # domain B only for id000 and id001, both drawn into training
+            (10, 3, ("B", range(2, 10)), "split.train_fraction=0.5\nsplit.enroll_per_identity=1", "1",
+             "cross-domain protocol: the test split has no sample in domain 'B'"),
+            # test identity id000 has no domain A sample for the gallery
+            (20, 5, ("A", range(3)), "split.train_fraction=0.5", "3",
+             "probe identity 'id000' has no sample in gallery domain 'A'"),
+            # one test identity: every pair is genuine
+            (4, 3, None, "split.train_fraction=0.75\nsplit.enroll_per_identity=1", None,
+             "gallery domain 'A' holds one identity, 'id000': no impostor pair"),
+        ],
+        ids=["too_few_to_enroll", "no_test_sample_in_B", "probe_missing_from_gallery", "one_test_identity"],
+    )
+    def test_unscorable_test_split_refused_before_training(
+        self, tmp_path, monkeypatch, n_ids, per, drop, overrides, seed, message
+    ):
+        from heteroembed.data import Dataset, generate_synthetic, save_manifest
+
+        full = generate_synthetic(SynthConfig(n_identities=n_ids, samples_per_identity_per_domain=per,
+                                              feature_dim=4))
+        domain, dropped = drop or (None, ())
+        absent = {f"id{i:03d}" for i in dropped}
+        samples = [s for s in full.samples if not (s.domain == domain and s.identity in absent)]
+        data = tmp_path / "data.hem"
+        save_manifest(Dataset(samples=samples, feature_dim=4), data)
+        monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
+        cfg = write(tmp_path / "run.cfg", f"epochs=1\ntuples_per_epoch=20\n{overrides}\n")
+        code, out, err = run_main(["compare", "--config", cfg, "--data", data] + (["--seed", seed] if seed else []))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 def test_manifest_round_trip_via_cli(tmp_path, small_manifest):

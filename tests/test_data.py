@@ -203,6 +203,28 @@ class TestLoadManifest:
         assert [s.id for s in ds.samples] == list(range(2 * hdata.MANIFEST_CHUNK_LINES + 5))
         assert_same_outcome(path)
 
+    def test_manifest_io_holds_one_chunk_at_a_time(self, tmp_path):
+        # 10 000 lines of 16 features: the whole file's Python strings and floats
+        # at once would take about 20 MB to read and 7 MB to write.
+        import tracemalloc
+
+        ds = generate_synthetic(SynthConfig(n_identities=250, samples_per_identity_per_domain=20))
+        assert len(ds) == 10_000 and ds.feature_dim == 16
+        path = tmp_path / "big.hem"
+        tracemalloc.start()
+        try:
+            save_manifest(ds, path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            again = load_manifest(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(again) == len(ds)
+        assert write_peak < 3_000_000, f"save_manifest peaked at {write_peak / 1e6:.1f} MB"
+        assert read_peak < 10_000_000, f"load_manifest peaked at {read_peak / 1e6:.1f} MB"
+
     def test_round_trip_bytes(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_identities=3, samples_per_identity_per_domain=2, seed=1))
         p1 = tmp_path / "a.hem"
@@ -478,6 +500,29 @@ def test_synth_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.seed = -1
     assert config.seed == 0
+    shift = DomainShift()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        shift.noise_scale = math.nan
+    assert shift.noise_scale == 0.1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["rotation_angle_degrees", "offset_magnitude", "noise_scale", "cluster_spread"])
+def test_non_finite_synth_setting_refused(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if name == "cluster_spread":
+            SynthConfig(cluster_spread=value)
+        else:
+            DomainShift(**{name: value})
+
+
+@pytest.mark.parametrize("shift,spread", [(DomainShift(), 1e308), (DomainShift(offset_magnitude=1e308), 0.3),
+                                          (DomainShift(noise_scale=1e308), 0.3)])
+def test_overflowing_features_refused(shift, spread):
+    config = SynthConfig(n_identities=3, samples_per_identity_per_domain=2, cluster_spread=spread,
+                         domain_shift=shift)
+    with pytest.raises(ValueError, match="synthetic features overflow"):
+        generate_synthetic(config)  # pytest turns a numpy warning into an error
 
 
 class TestSplitByIdentity:

@@ -125,7 +125,7 @@ class TestHeteroLoss:
         tup = EmbeddingTuple(a, a, a, [v(2, 0)], [v(0, 2)])
         val = hetero_loss(tup, Margins(0.4, 0.4))
         assert val.total == 0.0
-        assert not val.l1_active and not val.l2_active
+        assert not val.l1 > 0 and not val.l2 > 0
 
     def test_margin_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -215,8 +215,8 @@ class TestGradients:
             margins = Margins(0.4, 0.4)
             val = hetero_loss(tup, margins)
             # stay away from hinge kinks where the subgradient is one-sided
-            arg1 = val.l1 if val.l1_active else loss_arg(tup, margins, 1)
-            arg2 = val.l2 if val.l2_active else loss_arg(tup, margins, 2)
+            arg1 = val.l1 if val.l1 > 0 else loss_arg(tup, margins, 1)
+            arg2 = val.l2 if val.l2 > 0 else loss_arg(tup, margins, 2)
             if abs(arg1) < 1e-3 or abs(arg2) < 1e-3:
                 continue
             checked += 1
@@ -270,7 +270,7 @@ class TestBatched:
                     list(batch.negs_same[i, :ks]), list(batch.negs_cross[i, :kc]),
                 )
                 v1, g1 = hetero_loss_grad(single, Margins(0.4, 0.3))
-                for name in ("l1", "l2", "total", "l1_active", "l2_active"):
+                for name in ("l1", "l2", "total"):
                     assert same_bits(getattr(val, name)[i], getattr(v1, name)), name
                 assert same_bits(grad.d_anchor[i], g1.d_anchor)
                 assert same_bits(grad.d_pos_same[i], g1.d_pos_same)
@@ -279,7 +279,7 @@ class TestBatched:
                 assert same_bits(grad.d_negs_cross[i, :kc], g1.d_negs_cross)
                 assert np.all(grad.d_negs_same[i, ks:] == 0.0)
                 assert np.all(grad.d_negs_cross[i, kc:] == 0.0)
-                actives.add((bool(v1.l1_active), bool(v1.l2_active)))
+                actives.add((bool(v1.l1 > 0), bool(v1.l2 > 0)))
         assert len(actives) == 4  # every combination of active hinges was seen
 
     def test_centroid_permutation_invariant_per_set(self):
@@ -306,7 +306,7 @@ class TestBatched:
         # l2 = max(0, -d2(a, n)) is never active.
         tup = EmbeddingTuple(a, p, a, n[:, None], n[:, None])
         hv, hg = hetero_loss_grad(tup, Margins(0.4, 0.0))
-        assert not hv.l2_active.any()
+        assert not (hv.l2 > 0).any()
         assert same_bits(val, hv.l1)
         assert same_bits(val, loss_l1(tup, 0.4))
         np.testing.assert_array_equal(d_a, hg.d_anchor)
@@ -319,7 +319,7 @@ class TestBatched:
         tup = EmbeddingTuple(v(np.nan, 0), v(0, 0), v(0, 0), [v(1, 0)], [v(1, 0)])
         val = hetero_loss(tup, Margins())
         assert np.isnan(val.l1) and np.isnan(val.total)
-        assert not val.l1_active
+        assert not val.l1 > 0
         with np.errstate(invalid="ignore"):  # inf - inf
             assert np.isnan(triplet_loss(v(np.inf), v(0.0), v(1.0), 0.4))
 

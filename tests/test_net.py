@@ -14,7 +14,6 @@ from heteroembed.net import (
     ShapeError,
     adam_step,
     backward,
-    forward,
     forward_batch,
     init_net,
     load_checkpoint,
@@ -89,16 +88,16 @@ class TestInit:
 class TestForward:
     def test_identity_map(self):
         net = identity_net(2)
-        np.testing.assert_array_equal(forward(net, np.array([3.0, 4.0])), [3.0, 4.0])
+        np.testing.assert_array_equal(forward_batch(net, np.array([[3.0, 4.0]]))[0], [3.0, 4.0])
 
     def test_unit_norm(self):
         net = identity_net(2, normalize=True)
-        np.testing.assert_allclose(forward(net, np.array([3.0, 4.0])), [0.6, 0.8])
+        np.testing.assert_allclose(forward_batch(net, np.array([[3.0, 4.0]]))[0], [0.6, 0.8])
 
     def test_zero_output_guard(self):
         net = identity_net(2, normalize=True)
         net.weights[0][...] = 0.0
-        np.testing.assert_array_equal(forward(net, np.array([1.0, 2.0])), [0.0, 0.0])
+        np.testing.assert_array_equal(forward_batch(net, np.array([[1.0, 2.0]]))[0], [0.0, 0.0])
 
     def test_overflowed_norm_is_nan(self):
         net = identity_net(2, normalize=True)
@@ -110,7 +109,7 @@ class TestForward:
     def test_dim_mismatch(self):
         net = identity_net(2)
         with pytest.raises(ShapeError):
-            forward(net, np.zeros(3))
+            forward_batch(net, np.zeros((1, 3)))
 
     def test_norm_invariant(self):
         cfg = NetConfig(input_dim=4, hidden_dims=(6,), embed_dim=3, normalize_output=True)

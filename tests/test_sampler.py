@@ -11,7 +11,6 @@ from heteroembed.sampler import (
     _compose,
     build_index,
     epoch_tuples,
-    sample_tuple,
 )
 
 
@@ -139,20 +138,20 @@ class TestSampleTuple:
     def test_minimal_index(self):
         index = build_index(make_dataset(["a", "b"], ["0", "1"], 2))
         spec = TupleSpec(k=2)
-        tup = sample_tuple(index, np.random.default_rng(0), spec)
+        tup = epoch_tuples(index, np.random.default_rng(0), spec, 1)[0]
         check_tuple(tup, index, spec)
         assert len(tup.neg_same_ids) == 2
 
     def test_k_truncation(self):
         index = build_index(make_dataset(["a", "b"], ["0", "1"], 3))
         spec = TupleSpec(k=5)
-        tup = sample_tuple(index, np.random.default_rng(1), spec)
+        tup = epoch_tuples(index, np.random.default_rng(1), spec, 1)[0]
         assert len(tup.neg_cross_ids) == 3
 
     def test_single_identity_infeasible(self):
         index = build_index(make_dataset(["a"], ["0", "1"], 3))
         with pytest.raises(InfeasibleError):
-            sample_tuple(index, np.random.default_rng(0), TupleSpec())
+            epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 1)[0]
 
     def test_no_cross_domain_negative_infeasible(self):
         # b exists only in domain 0, so no negative is available in both domains
@@ -160,13 +159,13 @@ class TestSampleTuple:
         ds.samples.append(Sample(len(ds.samples), "b", "0", np.zeros(2)))
         index = build_index(ds)
         with pytest.raises(InfeasibleError, match="negative identity"):
-            sample_tuple(index, np.random.default_rng(0), TupleSpec())
+            epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 1)[0]
 
     def test_fixed_policy(self):
         index = build_index(make_dataset(["a", "b", "c"], ["x", "y"], 3))
         spec = TupleSpec(k=2, domain_policy="fixed", fixed_p="y", fixed_q="x")
         for seed in range(20):
-            tup = sample_tuple(index, np.random.default_rng(seed), spec)
+            tup = epoch_tuples(index, np.random.default_rng(seed), spec, 1)[0]
             assert (tup.domain_p, tup.domain_q) == ("y", "x")
 
     def test_invariants_over_many_draws(self):
@@ -174,7 +173,7 @@ class TestSampleTuple:
         index = build_index(make_dataset([f"i{n}" for n in range(6)], ["0", "1", "2"], 3))
         spec = TupleSpec(k=3)
         for _ in range(2000):
-            check_tuple(sample_tuple(index, rng, spec), index, spec)
+            check_tuple(epoch_tuples(index, rng, spec, 1)[0], index, spec)
 
     def test_sparse_fallback_is_uniform(self):
         # 200 identities, only 3 of them with domain B: the rejection loop
@@ -207,11 +206,12 @@ class TestReferenceDraw:
             assert got == reference_draws(index, np.random.default_rng(seed), spec, 300)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    def test_sample_tuple(self, case):
+    def test_one_tuple_epochs(self, case):
+        # epochs drawn from one stream continue it: building the table draws nothing
         make_index, spec = REFERENCE_CASES[case]
         index = make_index()
         rng = np.random.default_rng(7)
-        got = [sample_tuple(index, rng, spec) for _ in range(100)]
+        got = [epoch_tuples(index, rng, spec, 1)[0] for _ in range(100)]
         assert got == reference_draws(index, np.random.default_rng(7), spec, 100)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
@@ -251,7 +251,7 @@ class TestReferenceDraw:
     )
     def test_infeasible_messages(self, make_ds, message):
         index = build_index(make_ds())
-        for draw in (lambda rng: sample_tuple(index, rng, TupleSpec()),
+        for draw in (lambda rng: epoch_tuples(index, rng, TupleSpec(), 1)[0],
                      lambda rng: epoch_tuples(index, rng, TupleSpec(), 5)):
             with pytest.raises(InfeasibleError, match=message):
                 draw(np.random.default_rng(0))
@@ -261,7 +261,7 @@ class TestReferenceDraw:
         index = build_index(make_dataset(["a", "b"], ["0", "1"], 2))
         spec = TupleSpec(domain_policy="fixed", fixed_p="0", fixed_q="9")
         with pytest.raises(InfeasibleError, match="no identity has >= 2 samples"):
-            sample_tuple(index, np.random.default_rng(0), spec)
+            epoch_tuples(index, np.random.default_rng(0), spec, 1)[0]
 
 
 class TestEpochTuples:
