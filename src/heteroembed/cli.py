@@ -62,6 +62,8 @@ def parse_config_file(path) -> dict[str, str]:
             lines = f.read().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -214,6 +216,10 @@ def _in_domain(dataset: Dataset, domain: str) -> Dataset:
 
 
 def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
+    gal_labels = [s.identity for s in gallery.samples]
+    probe_labels = [s.identity for s in probes.samples]
+    if len(set(gal_labels)) == 1:  # refused by its labels, before any embedding
+        raise ValueError(f"the gallery holds one identity, {gal_labels[0]!r}: no impostor pair")
     # A network that overflows on this data is reported once, as a
     # NumericalError, not as numpy warnings and metrics of NaN distances.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,8 +227,6 @@ def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
         dist = distance_matrix(embed_dataset(net, probes), gal_emb)
     if not np.isfinite(dist).all():
         raise NumericalError("non-finite embedding distance: the network overflows on this data")
-    gal_labels = [s.identity for s in gallery.samples]
-    probe_labels = [s.identity for s in probes.samples]
     ident = identify(dist, probe_labels, gal_labels)
     verif = verification_report(verification_scores(dist, probe_labels, gal_labels), roc_out=roc_out)
     return ident, verif, dist, probe_labels, gal_labels

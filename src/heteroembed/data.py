@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -85,12 +86,22 @@ class SynthConfig:
 
 
 def load_manifest(path) -> Dataset:
-    """Parse a `.hem` manifest into a Dataset. Ids follow record order from 0."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
+    """Parse a `.hem` manifest into a Dataset. Ids follow record order from 0.
+
+    Lines are numbered as `str.splitlines` splits the text, and the file is
+    read MANIFEST_CHUNK_LINES lines at a time.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return _read_manifest(path, (part for line in f for part in line.splitlines()))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _read_manifest(path, lines) -> Dataset:
+    header = next(lines, None)
+    if header is None:
         raise ParseError(f"{path}: empty file")
-    header = lines[0]
     if not header.startswith(MANIFEST_MAGIC + " dim="):
         raise ParseError(f"{path}: bad header {header!r}")
     try:
@@ -101,12 +112,13 @@ def load_manifest(path) -> Dataset:
         raise ParseError(f"{path}: header dim={dim}, expected >= 1")
 
     samples: list[Sample] = []
-    for start in range(1, len(lines), MANIFEST_CHUNK_LINES):
-        chunk = lines[start : start + MANIFEST_CHUNK_LINES]
+    lineno = 2
+    while chunk := list(islice(lines, MANIFEST_CHUNK_LINES)):
         parsed = _parse_block(chunk, dim, len(samples))
         if parsed is None:  # some line is bad: the per-line parser names the first one
-            parsed = _parse_lines(path, chunk, start + 1, dim, len(samples))
+            parsed = _parse_lines(path, chunk, lineno, dim, len(samples))
         samples.extend(parsed)
+        lineno += len(chunk)
     if not samples:
         raise ParseError(f"{path}: no data lines")
     return Dataset(samples=samples, feature_dim=dim)
@@ -164,9 +176,12 @@ def _parse_lines(path, lines: list[str], first_lineno: int, dim: int, first_id: 
 def save_manifest(dataset: Dataset, path) -> None:
     """Write a Dataset as a `.hem` manifest (17 significant digits, round-trip exact).
 
-    Raises ParseError or ShapeError, before the file is opened, for a
-    feature_dim or a sample `load_manifest` would reject or read back differently.
+    Raises ParseError or ShapeError, before the file is opened, for an empty
+    dataset, a feature_dim or a sample `load_manifest` would reject or read
+    back differently.
     """
+    if not dataset.samples:
+        raise ParseError("empty dataset: a manifest needs at least one data line")
     identities = dict.fromkeys(s.identity for s in dataset.samples)
     domains = dict.fromkeys(s.domain for s in dataset.samples)
     for label in [*identities, *domains]:

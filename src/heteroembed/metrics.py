@@ -132,9 +132,8 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
 
     A probe's first genuine match is its closest same-identity gallery entry,
     the lowest index among equals; its rank counts the entries strictly
-    closer plus the equal ones at a lower index. A NaN distance ranks after
-    every number, as `np.sort` puts it. A probe identity missing from the
-    gallery is an error.
+    closer plus the equal ones at a lower index. A NaN distance and a probe
+    identity missing from the gallery are errors.
     """
     dist = np.asarray(dist, dtype=np.float64)
     probe_identities = list(probe_identities)
@@ -149,29 +148,30 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
     hits = np.zeros(n_gallery, dtype=np.int64)
     for rows in _probe_blocks(dist):
         d = dist[rows]
+        if np.isnan(d).any():
+            raise ValueError(f"NaN distance for probe {rows.start + np.isnan(d).any(axis=1).argmax()}")
         same = probe_codes[rows, None] == gallery_codes
-        nan = np.isnan(d)
-        live = same & ~nan
-        found = live.any(axis=1, keepdims=True)  # else every genuine distance is NaN
-        best = np.min(d, axis=1, where=live, initial=np.inf, keepdims=True)
-        hit = np.where(found, live & (d == best), same)
-        earlier = ~np.logical_or.accumulate(hit, axis=1)  # before the first genuine match
-        ahead = np.where(found, (d < best) | ((d == best) & earlier), ~nan | earlier)
+        best = np.min(d, axis=1, where=same, initial=np.inf, keepdims=True)
+        earlier = ~np.logical_or.accumulate(same & (d == best), axis=1)  # before the first genuine match
+        ahead = (d < best) | ((d == best) & earlier)
         hits += np.bincount(ahead.sum(axis=1), minlength=n_gallery)
     return IdentReport(rank_accuracies=np.cumsum(hits) / n_probes)
 
 
 def roc(scores: ScoreSet) -> RocCurve:
-    """The ROC of a score set: both score arrays sorted (one already sorted is not copied)."""
+    """The ROC of a score set: both score arrays sorted (one already sorted is not copied), NaN refused."""
     genuine = np.asarray(scores.genuine, dtype=np.float64)
     impostor = np.asarray(scores.impostor, dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
         raise ValueError("genuine and impostor sets must be nonempty")
-    return RocCurve(genuine=_ascending(genuine), impostor=_ascending(impostor))
+    return RocCurve(genuine=_ascending(genuine, "genuine"), impostor=_ascending(impostor, "impostor"))
 
 
-def _ascending(scores: np.ndarray) -> np.ndarray:
-    return scores if (scores[1:] >= scores[:-1]).all() else np.sort(scores)
+def _ascending(scores: np.ndarray, name: str) -> np.ndarray:
+    scores = scores if (scores[1:] >= scores[:-1]).all() else np.sort(scores)
+    if np.isnan(scores[-1]):  # NaN sorts last
+        raise ValueError(f"NaN {name} score")
+    return scores
 
 
 def eer(curve: RocCurve) -> float:
@@ -197,9 +197,7 @@ def eer(curve: RocCurve) -> float:
             high = min(high, scores[j])
     low = max(_below(curve.genuine, high), _below(curve.impostor, high))
     (f0, d0), (f1, d1) = far_minus_frr(low), far_minus_frr(high)
-    if d1 == d0:  # only NaN scores get here: otherwise d0 < 0 <= d1
-        return float(f1)
-    t = -d0 / (d1 - d0)
+    t = -d0 / (d1 - d0)  # d0 < 0 <= d1
     return float(f0 + t * (f1 - f0))
 
 

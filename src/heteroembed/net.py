@@ -242,8 +242,11 @@ def save_checkpoint(net: EmbeddingNet, path) -> None:
 
 def load_checkpoint(path) -> EmbeddingNet:
     """Read a network back from the text checkpoint format."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
     kv = {}

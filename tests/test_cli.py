@@ -1,7 +1,10 @@
 import importlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -323,6 +326,20 @@ class TestEval:
         net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
         with pytest.raises(ValueError, match="must be nonempty"):
             evaluate_cross_domain(net, Dataset(samples=samples, feature_dim=2), gallery, probe)
+
+    def test_one_identity_test_split_refused_before_embedding(self, tmp_path, monkeypatch):
+        # two identities and train_fraction 0.8: one identity trains, the other is the test split
+        data = tmp_path / "two.hem"
+        cfg = write(tmp_path / "synth.cfg", SMALL_SYNTH.replace("n_identities=6", "n_identities=2"))
+        assert run_main(["synth", "--config", cfg, "--out", data])[0] == 0
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        monkeypatch.setattr("heteroembed.cli.embed_dataset", lambda *a, **k: pytest.fail("embedded"))
+        roc_out = tmp_path / "roc.csv"
+        code, out, err = run_main(["eval", "--checkpoint", ckpt, "--data", data, "--roc-out", roc_out])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: the gallery holds one identity, 'id00[01]': no impostor pair\n", err)
+        assert not roc_out.exists()
 
     def test_dim_mismatch_exit_5(self, tmp_path, small_manifest):
         net = init_net(NetConfig(input_dim=7, embed_dim=4), 0)
@@ -756,6 +773,28 @@ class TestBadPaths:
         assert not (tmp_path / "n.ckpt").exists()
 
 
+class TestUndecodableInput:
+    """A file holding a byte UTF-8 cannot decode: exit 2, one error line naming the file, nothing written."""
+
+    @pytest.mark.parametrize(
+        "argv,bad",
+        [
+            ("synth --config {bad} --out {tmp}/out", "config"),
+            ("train --config {bad} --data {data} --out {tmp}/out", "config"),
+            ("train --config {cfg} --data {bad} --out {tmp}/out", "manifest"),
+            ("eval --checkpoint {bad} --config {cfg} --data {data} --roc-out {tmp}/out", "checkpoint"),
+        ],
+    )
+    def test_exit_2_naming_the_file(self, tmp_path, small_manifest, argv, bad):
+        path = tmp_path / f"bad.{bad}"
+        path.write_bytes(b"\xff\n")
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN)
+        code, out, err = run_main(argv.format(bad=path, data=small_manifest, cfg=cfg, tmp=tmp_path).split())
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestCollidingPaths:
     """An output that resolves to an input or to another output: exit 2, one error line, nothing written."""
 
@@ -874,3 +913,30 @@ def test_readme_config_block_matches_cli_defaults():
         assert parse(raw) == getattr(effective[cls.__name__], name), key
         keys += 1
     assert keys > 20
+
+
+class TestAsAProcess:
+    """`python -m heteroembed.cli` in a child process: its exit code and every stderr line."""
+
+    @staticmethod
+    def run_cli(*argv):
+        src = Path(__file__).parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "heteroembed.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_exit_codes_and_stderr(self, tmp_path):
+        data = tmp_path / "d.hem"
+        code, out, err = self.run_cli("synth", "--config", write(tmp_path / "s.cfg", SMALL_SYNTH), "--out", data)
+        assert (code, out, err) == (0, "samples=60\nidentities=6\ndomains=2\n", "")
+
+        cfg = write(tmp_path / "bad.cfg", "synth.bogus_knob=1\n")
+        code, out, err = self.run_cli("synth", "--config", cfg, "--out", tmp_path / "e.hem")
+        assert (code, out, err) == (2, "", "error: unknown config key 'synth.bogus_knob'\n")
+
+        bad = tmp_path / "bad.hem"
+        bad.write_bytes(b"\xff" + data.read_bytes())
+        code, out, err = self.run_cli("train", "--data", bad, "--out", tmp_path / "n.ckpt")
+        assert (code, out, err) == (2, "", f"error: {bad}: not UTF-8 text (invalid start byte)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "bad.hem", "d.hem", "s.cfg"]

@@ -225,6 +225,36 @@ class TestLoadManifest:
         assert write_peak < 3_000_000, f"save_manifest peaked at {write_peak / 1e6:.1f} MB"
         assert read_peak < 10_000_000, f"load_manifest peaked at {read_peak / 1e6:.1f} MB"
 
+    def test_read_holds_one_chunk_of_text(self, tmp_path):
+        # The 10 000 loaded samples keep about 4.4 MB; the file's whole line list
+        # on top of them would take the load past 8 MB.
+        import tracemalloc
+
+        ds = generate_synthetic(SynthConfig(n_identities=250, samples_per_identity_per_domain=20))
+        path = tmp_path / "big.hem"
+        save_manifest(ds, path)
+        tracemalloc.start()
+        try:
+            again = load_manifest(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(again) == len(ds)
+        assert read_peak < 6_000_000, f"load_manifest peaked at {read_peak / 1e6:.1f} MB"
+
+    def test_line_separator_in_a_label_splits_its_line(self, tmp_path):
+        # str.splitlines breaks "s\u2028x" in two, so line 3 holds "s" alone
+        path = write_manifest(tmp_path, ["s1,A,1 2 3", "s\u2028x,A,1 2 3"], name="sep.hem")
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: expected identity,domain,features")):
+            load_manifest(path)
+        assert_same_outcome(path)
+
+    def test_undecodable_file_names_its_path(self, tmp_path):
+        path = tmp_path / "bad.hem"
+        path.write_bytes(b"\xff" + b"HETERO-EMBED-DATA v1 dim=1\ns,A,1\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text (invalid start byte)")):
+            load_manifest(path)
+
     def test_round_trip_bytes(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_identities=3, samples_per_identity_per_domain=2, seed=1))
         p1 = tmp_path / "a.hem"
@@ -304,6 +334,12 @@ class TestSaveManifest:
         path = tmp_path / "d.hem"
         with pytest.raises(ParseError):
             save_manifest(one_sample(identity, domain), path)
+        assert not path.exists()
+
+    def test_empty_dataset_refused_before_open(self, tmp_path):
+        path = tmp_path / "d.hem"
+        with pytest.raises(ParseError, match="empty dataset"):
+            save_manifest(Dataset(samples=[], feature_dim=4), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("features", [(1.0, np.nan), (np.inf, 0.0)])

@@ -214,19 +214,26 @@ class TestIdentify:
                 report.rank_accuracies, brute_cmc(dist, probe_ids, gallery_ids)
             )
 
-    def test_ties_nan_and_inf_rank_as_a_stable_sort(self):
+    def test_ties_and_inf_rank_as_a_stable_sort(self):
         rng = np.random.default_rng(10)
         for _ in range(200):
             gallery_ids = [f"g{i}" for i in rng.integers(0, 4, size=12)]
             probe_ids = [gallery_ids[i] for i in rng.integers(0, 12, size=6)]
-            dist = rng.choice([0.0, -0.0, 1.0, 2.0, np.inf, np.nan], size=(6, 12))
-            # reference: each row in np.argsort's stable order (NaN last), first genuine entry
+            dist = rng.choice([0.0, -0.0, 1.0, 2.0, np.inf], size=(6, 12))
+            # reference: each row in np.argsort's stable order, first genuine entry
             hits = np.zeros(12)
             for i, row in enumerate(dist):
                 labels = np.array(gallery_ids)[np.argsort(row, kind="stable")]
                 hits[np.flatnonzero(labels == probe_ids[i])[0]] += 1
             cmc = identify(dist, probe_ids, gallery_ids).rank_accuracies
             np.testing.assert_array_equal(cmc, np.cumsum(hits) / 6)
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_nan_distance_refused(self, monkeypatch, block):
+        monkeypatch.setattr(metrics, "BLOCK", block)  # the check runs in every probe block
+        dist = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, np.nan]])
+        with pytest.raises(ValueError, match="NaN distance for probe 2"):
+            identify(dist, ["a", "b", "a"], ["a", "b"])
 
     def test_monotone_cmc(self):
         rng = np.random.default_rng(9)
@@ -262,6 +269,14 @@ class TestRoc:
         for (f, g, t), cf, cg, ct in zip(expected, curve.far, curve.gar, curve.threshold):
             assert abs(cf - f) < 1e-12 and abs(cg - g) < 1e-12
             assert ct == t
+
+    @pytest.mark.parametrize("side", ["genuine", "impostor"])
+    @pytest.mark.parametrize("scores", [[np.nan], [0.1, 0.2, np.nan], [np.nan, -np.inf, np.inf]])
+    def test_nan_score_refused(self, side, scores):
+        sets = {"genuine": np.array([0.1, 0.2]), "impostor": np.array([0.15, 0.5, 0.9])}
+        sets[side] = np.array(scores)
+        with pytest.raises(ValueError, match=f"NaN {side} score"):
+            roc(ScoreSet(**sets))
 
     def test_monotone(self):
         rng = np.random.default_rng(11)
@@ -371,6 +386,13 @@ class TestAgainstTheSweep:
             assert gar_at_far(curve, level) == sweep_gar_at_far(far, gar, level)
         assert curve.far.tobytes() == far.tobytes() and curve.gar.tobytes() == gar.tobytes()
         assert curve.threshold.tobytes() == threshold.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(genuine=SCORES, impostor=SCORES)
+    def test_points_never_fall(self, genuine, impostor):
+        far, gar, threshold = roc(ScoreSet(genuine=np.array(genuine), impostor=np.array(impostor))).points()
+        for values in (threshold, far, gar):
+            assert (values[1:] >= values[:-1]).all()
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_roc_csv_bytes(self, tmp_path, monkeypatch, block):
