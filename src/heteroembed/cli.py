@@ -127,9 +127,6 @@ RUN_KEYS = {
     "margins.alpha1": (Margins, "alpha1", float),
     "margins.alpha2": (Margins, "alpha2", float),
     "tuple.k": (TupleSpec, "k", parse_int),
-    "tuple.domain_policy": (TupleSpec, "domain_policy", str),
-    "tuple.fixed_p": (TupleSpec, "fixed_p", str),
-    "tuple.fixed_q": (TupleSpec, "fixed_q", str),
     "optimizer.learning_rate": (TrainConfig, "learning_rate", float),
     "optimizer.decay": (TrainConfig, "lr_decay", float),
     "epochs": (TrainConfig, "epochs", parse_int),

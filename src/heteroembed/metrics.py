@@ -132,14 +132,16 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
 
     A probe's first genuine match is its closest same-identity gallery entry,
     the lowest index among equals; its rank counts the entries strictly
-    closer plus the equal ones at a lower index. A NaN distance and a probe
-    identity missing from the gallery are errors.
+    closer plus the equal ones at a lower index. No probes, a NaN distance and
+    a probe identity missing from the gallery are errors.
     """
     dist = np.asarray(dist, dtype=np.float64)
     probe_identities = list(probe_identities)
     probe_codes, gallery_codes, per_probe = _identity_codes(
         dist, probe_identities, list(gallery_identities)
     )
+    if not probe_identities:
+        raise ValueError("no probes to identify")
     missing = np.flatnonzero(per_probe == 0)
     if missing.size:
         raise ValueError(f"probe identity {probe_identities[missing[0]]!r} absent from gallery")

@@ -7,8 +7,10 @@ lists so results are independent of dict iteration order.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 
@@ -21,21 +23,17 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class TupleSpec:
+    """Up to k negatives per domain; (p, q) ranges over every ordered pair of the data's domains."""
+
     k: int = 4
-    domain_policy: str = "uniform_pair"  # or "fixed"
-    fixed_p: str | None = None
-    fixed_q: str | None = None
 
     def __post_init__(self):
-        if self.k < 1:
+        try:
+            k = operator.index(self.k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {self.k!r}") from None
+        if k < 1:
             raise ValueError("k must be >= 1")
-        if self.domain_policy not in ("uniform_pair", "fixed"):
-            raise ValueError(f"unknown domain policy {self.domain_policy!r}")
-        if self.domain_policy == "fixed":
-            if self.fixed_p is None or self.fixed_q is None or self.fixed_p == self.fixed_q:
-                raise ValueError("fixed policy needs two distinct domains")
-        elif self.fixed_p is not None or self.fixed_q is not None:
-            raise ValueError(f"fixed_p and fixed_q need domain_policy 'fixed', not {self.domain_policy!r}")
 
 
 @dataclass
@@ -77,12 +75,6 @@ def build_index(dataset: Dataset) -> DatasetIndex:
     )
 
 
-def _domain_pairs(index: DatasetIndex, spec: TupleSpec) -> list[tuple[str, str]]:
-    if spec.domain_policy == "fixed":
-        return [(spec.fixed_p, spec.fixed_q)]
-    return [(p, q) for p in index.domains for q in index.domains if p != q]
-
-
 def _compose(index, rng, spec, a, b, p, q) -> SampledTuple:
     anchor_id, pos_same_id = draw_distinct(rng, index.group(a, p), 2)
     (pos_cross_id,) = draw_distinct(rng, index.group(a, q), 1)
@@ -99,21 +91,20 @@ def _compose(index, rng, spec, a, b, p, q) -> SampledTuple:
     )
 
 
-def _feasible_table(index: DatasetIndex, spec: TupleSpec) -> tuple[list, list[int]]:
+def _feasible_table(index: DatasetIndex) -> tuple[list, list[int]]:
     """Per domain pair (p, q, negatives, anchor positions among them), and cumulative counts.
 
     A negative has >= 1 sample in p and in q; an anchor also has >= 2 in p, so
-    it is a negative too. Triples are numbered by pair (`_domain_pairs` order),
-    then anchor, then negative b != a, identities sorted; pair k holds the
-    numbers ends[k - 1] to ends[k] - 1.
+    it is a negative too. Triples are numbered by ordered pair (p != q, domains
+    sorted), then anchor, then negative b != a, identities sorted; pair k holds
+    the numbers ends[k - 1] to ends[k] - 1.
     """
     if len(index.identities) < 2:
         raise InfeasibleError("index has fewer than 2 identities")
-    pairs = _domain_pairs(index, spec)
-    if not pairs:
+    if len(index.domains) < 2:
         raise InfeasibleError("no ordered domain pair available (need >= 2 domains)")
     table, ends = [], []
-    for p, q in pairs:
+    for p, q in permutations(index.domains, 2):
         negatives = [b for b in index.identities if index.group(b, p) and index.group(b, q)]
         anchors = [s for s, a in enumerate(negatives) if len(index.group(a, p)) >= 2]
         table.append((p, q, negatives, anchors))
@@ -133,7 +124,7 @@ def epoch_tuples(
         raise ValueError("n_tuples must be >= 0")
     if n_tuples == 0:
         return []
-    table, ends = _feasible_table(index, spec)
+    table, ends = _feasible_table(index)
     tuples = []
     for _ in range(n_tuples):
         i = int(rng.integers(ends[-1]))

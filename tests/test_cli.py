@@ -129,6 +129,16 @@ class TestRefusedBeforeTraining:
         assert code == 2
         assert_one_outcome(code, out, err)
 
+    @pytest.mark.parametrize("line", ["tuple.domain_policy=uniform_pair", "tuple.fixed_p=0", "tuple.fixed_q=1"])
+    def test_domain_policy_keys_are_unknown(self, tmp_path, small_manifest, monkeypatch, line):
+        # (p, q) always ranges over every ordered pair of the data's domains
+        monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN + line + "\n")
+        code, out, err = run_main(["train", "--config", cfg, "--data", small_manifest, "--out", tmp_path / "n.ckpt"])
+        key = line.partition("=")[0]
+        assert (code, out, err) == (2, "", f"error: unknown config key {key!r}\n")
+        assert not (tmp_path / "n.ckpt").exists()
+
     @pytest.mark.parametrize(
         "argv,key",
         [("synth --config {cfg} --out {tmp}/d.hem", "synth.seed"),
@@ -583,9 +593,6 @@ REFERENCE_KEYS = {
     "margins.alpha1": ("margins", "alpha1", "float"),
     "margins.alpha2": ("margins", "alpha2", "float"),
     "tuple.k": ("tuple", "k", "int"),
-    "tuple.domain_policy": ("tuple", "domain_policy", "str"),
-    "tuple.fixed_p": ("tuple", "fixed_p", "str"),
-    "tuple.fixed_q": ("tuple", "fixed_q", "str"),
     "optimizer.learning_rate": ("train", "learning_rate", "float"),
     "optimizer.decay": ("train", "lr_decay", "float"),
     "epochs": ("train", "epochs", "int"),
@@ -903,7 +910,7 @@ def test_readme_config_block_matches_cli_defaults():
         "SynthConfig": synth, "DomainShift": synth.domain_shift,
     }
     schema = {**RUN_KEYS, **SYNTH_KEYS}
-    keys = 0
+    documented = []
     for line in block.splitlines():
         key, _, raw = line.split("#", 1)[0].strip().partition("=")
         if not key:
@@ -911,8 +918,8 @@ def test_readme_config_block_matches_cli_defaults():
         assert key in schema, key
         cls, name, parse = schema[key]
         assert parse(raw) == getattr(effective[cls.__name__], name), key
-        keys += 1
-    assert keys > 20
+        documented.append(key)
+    assert sorted(documented) == sorted(schema)
 
 
 class TestAsAProcess:

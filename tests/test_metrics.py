@@ -199,6 +199,11 @@ class TestIdentify:
         assert report.rank_accuracies[0] == 0.0
         assert report.rank_accuracies[1] == 1.0
 
+    @pytest.mark.parametrize("n_gallery", [0, 3])
+    def test_no_probes_refused(self, n_gallery):
+        with pytest.raises(ValueError, match="no probes"):
+            identify(np.zeros((0, n_gallery)), [], ["a", "b", "a"][:n_gallery])
+
     def test_strict_missing_identity(self):
         with pytest.raises(ValueError):
             identify(np.array([[0.1]]), ["ghost"], ["a"])

@@ -32,12 +32,9 @@ def add_samples(ds, identity, domain, n):
 # --- reference: the materialised enumeration the table-driven draw replaced ---
 
 
-def reference_feasible(index, spec):
+def reference_feasible(index):
     """Every feasible (a, b, p, q) as one list, in draw order."""
-    if spec.domain_policy == "fixed":
-        pairs = [(spec.fixed_p, spec.fixed_q)]
-    else:
-        pairs = [(p, q) for p in index.domains for q in index.domains if p != q]
+    pairs = [(p, q) for p in index.domains for q in index.domains if p != q]
     feasible = []
     for p, q in pairs:
         negatives = [b for b in index.identities
@@ -49,7 +46,7 @@ def reference_feasible(index, spec):
 
 
 def reference_draws(index, rng, spec, n):
-    feasible = reference_feasible(index, spec)
+    feasible = reference_feasible(index)
     tuples = []
     for _ in range(n):
         a, b, p, q = feasible[rng.integers(len(feasible))]
@@ -92,7 +89,6 @@ def sparse_index():
 REFERENCE_CASES = {
     "missing_domain": (missing_domain_index, TupleSpec(k=2)),
     "anchors_are_negatives": (anchors_and_negatives_index, TupleSpec(k=2)),
-    "fixed": (anchors_and_negatives_index, TupleSpec(k=3, domain_policy="fixed", fixed_p="1", fixed_q="0")),
     "k_truncation": (ragged_index, TupleSpec(k=5)),
     "three_domains": (lambda: build_index(make_dataset(["a", "b", "c", "d"], ["x", "y", "z"], 3)), TupleSpec(k=2)),
     "sparse_200": (sparse_index, TupleSpec()),
@@ -161,13 +157,6 @@ class TestSampleTuple:
         with pytest.raises(InfeasibleError, match="negative identity"):
             epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 1)[0]
 
-    def test_fixed_policy(self):
-        index = build_index(make_dataset(["a", "b", "c"], ["x", "y"], 3))
-        spec = TupleSpec(k=2, domain_policy="fixed", fixed_p="y", fixed_q="x")
-        for seed in range(20):
-            tup = epoch_tuples(index, np.random.default_rng(seed), spec, 1)[0]
-            assert (tup.domain_p, tup.domain_q) == ("y", "x")
-
     def test_invariants_over_many_draws(self):
         rng = np.random.default_rng(42)
         index = build_index(make_dataset([f"i{n}" for n in range(6)], ["0", "1", "2"], 3))
@@ -218,7 +207,7 @@ class TestReferenceDraw:
     def test_every_feasible_triple_drawn(self, case):
         make_index, spec = REFERENCE_CASES[case]
         index = make_index()
-        feasible = reference_feasible(index, spec)
+        feasible = reference_feasible(index)
         assert len(set(feasible)) == len(feasible)
         tuples = epoch_tuples(index, np.random.default_rng(0), spec, 40 * len(feasible))
         keys = {(t.identity_a, t.identity_b, t.domain_p, t.domain_q) for t in tuples}
@@ -256,12 +245,6 @@ class TestReferenceDraw:
             with pytest.raises(InfeasibleError, match=message):
                 draw(np.random.default_rng(0))
         assert epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 0) == []
-
-    def test_fixed_policy_unknown_domain(self):
-        index = build_index(make_dataset(["a", "b"], ["0", "1"], 2))
-        spec = TupleSpec(domain_policy="fixed", fixed_p="0", fixed_q="9")
-        with pytest.raises(InfeasibleError, match="no identity has >= 2 samples"):
-            epoch_tuples(index, np.random.default_rng(0), spec, 1)[0]
 
 
 class TestEpochTuples:
@@ -322,7 +305,7 @@ class TestMemberDraw:
     def test_epoch_tuples_match_reference(self, case):
         make_index, spec = REFERENCE_CASES[case]
         index = make_index()
-        feasible = reference_feasible(index, spec)
+        feasible = reference_feasible(index)
         for seed in range(3):
             ref_rng = np.random.default_rng(seed)
             expected = [reference_compose(index, ref_rng, spec, *feasible[ref_rng.integers(len(feasible))])
@@ -341,12 +324,18 @@ class TestMemberDraw:
 
 
 class TestTupleSpec:
-    @pytest.mark.parametrize("fields", [dict(fixed_p="Z"), dict(fixed_q="Q"), dict(fixed_p="0", fixed_q="1")])
-    def test_fixed_domains_need_fixed_policy(self, fields):
-        with pytest.raises(ValueError, match="domain_policy 'fixed'"):
-            TupleSpec(**fields)
+    @pytest.mark.parametrize("k", [2.5, "4", None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            TupleSpec(k=k)
 
-    @pytest.mark.parametrize("p,q", [(None, "1"), ("0", None), ("0", "0")])
-    def test_fixed_policy_needs_two_distinct_domains(self, p, q):
-        with pytest.raises(ValueError, match="two distinct domains"):
-            TupleSpec(domain_policy="fixed", fixed_p=p, fixed_q=q)
+    @pytest.mark.parametrize("k", [0, -1, np.int64(0)])
+    def test_k_must_be_positive(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            TupleSpec(k=k)
+
+    def test_numpy_integer_k(self):
+        index = build_index(make_dataset(["a", "b"], ["0", "1"], 3))
+        spec = TupleSpec(k=np.int64(2))
+        tup = epoch_tuples(index, np.random.default_rng(0), spec, 1)[0]
+        assert tup == epoch_tuples(index, np.random.default_rng(0), TupleSpec(k=2), 1)[0]
