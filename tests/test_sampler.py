@@ -77,6 +77,16 @@ def ragged_index():
     return build_index(ds)
 
 
+def one_pair_index():
+    # only domain 1 holds >= 2 samples of an identity, so (1, 0) is the one
+    # pair with anchors and the empty pair (0, 1) comes first in the table;
+    # d: 1 sample per domain, a negative only
+    ds = Dataset(samples=[], feature_dim=2)
+    for ident in ["a", "b", "c"]:
+        add_samples(add_samples(ds, ident, "0", 1), ident, "1", 3)
+    return build_index(add_samples(add_samples(ds, "d", "0", 1), "d", "1", 1))
+
+
 def sparse_index():
     # 200 identities, only 3 of them with domain B
     ids = [f"i{n:03d}" for n in range(200)]
@@ -89,6 +99,7 @@ def sparse_index():
 REFERENCE_CASES = {
     "missing_domain": (missing_domain_index, TupleSpec(k=2)),
     "anchors_are_negatives": (anchors_and_negatives_index, TupleSpec(k=2)),
+    "one_feasible_pair": (one_pair_index, TupleSpec(k=3)),
     "k_truncation": (ragged_index, TupleSpec(k=5)),
     "three_domains": (lambda: build_index(make_dataset(["a", "b", "c", "d"], ["x", "y", "z"], 3)), TupleSpec(k=2)),
     "sparse_200": (sparse_index, TupleSpec()),
