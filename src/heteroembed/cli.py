@@ -40,6 +40,7 @@ from .metrics import (
 from .net import (
     NetConfig,
     ShapeError,
+    check_field,
     load_checkpoint,
     parse_int,
     parse_int_list,
@@ -93,8 +94,7 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
-        if self.enroll_per_identity < 1:
-            raise ValueError(f"enroll_per_identity must be >= 1, got {self.enroll_per_identity}")
+        check_field("enroll_per_identity", self.enroll_per_identity, 1)
 
 
 def parse_seed(text: str) -> int:
@@ -128,7 +128,6 @@ RUN_KEYS = {
     "margins.alpha2": (Margins, "alpha2", float),
     "tuple.k": (TupleSpec, "k", parse_int),
     "optimizer.learning_rate": (TrainConfig, "learning_rate", float),
-    "optimizer.decay": (TrainConfig, "lr_decay", float),
     "epochs": (TrainConfig, "epochs", parse_int),
     "tuples_per_epoch": (TrainConfig, "tuples_per_epoch", parse_int),
     "batch_size": (TrainConfig, "batch_size", parse_int),
@@ -310,10 +309,10 @@ def cmd_eval(args) -> int:
     ident, verif, _, _, _ = evaluate_enroll_probe(
         net, test_set, enroll, config.seed, roc_out=args.roc_out
     )
-    for line in report_lines(ident, verif):
-        print(line)
     if args.cmc_out:
         write_cmc_csv(ident, args.cmc_out)
+    for line in report_lines(ident, verif):
+        print(line)
     return 0
 
 

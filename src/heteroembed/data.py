@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .net import ShapeError, parse_int
+from .net import ShapeError, check_field, parse_int
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
 # Manifest lines parsed or written per block: bounds the Python strings and
@@ -49,13 +49,6 @@ class Dataset:
         return sorted({s.domain for s in self.samples})
 
 
-def _require_finite(config, *names: str) -> None:
-    for name in names:
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class DomainShift:
     rotation_angle_degrees: float = 30.0
@@ -63,7 +56,8 @@ class DomainShift:
     noise_scale: float = 0.1
 
     def __post_init__(self):
-        _require_finite(self, "rotation_angle_degrees", "offset_magnitude", "noise_scale")
+        for name in ("rotation_angle_degrees", "offset_magnitude", "noise_scale"):
+            check_field(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -76,13 +70,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_identities < 2:
-            raise ValueError("need at least 2 identities")
-        if self.samples_per_identity_per_domain < 1 or self.feature_dim < 1:
-            raise ValueError("counts and dims must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        _require_finite(self, "cluster_spread")
+        check_field("n_identities", self.n_identities, 2)
+        check_field("samples_per_identity_per_domain", self.samples_per_identity_per_domain, 1)
+        check_field("feature_dim", self.feature_dim, 1)
+        check_field("seed", self.seed, 0)
+        check_field("cluster_spread", self.cluster_spread)
 
 
 def load_manifest(path) -> Dataset:
@@ -294,8 +286,7 @@ def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
 
 def split_enroll_probe(dataset: Dataset, per_identity_enroll: int, seed: int):
     """Per identity, enroll a fixed number of samples; the rest become probes."""
-    if per_identity_enroll < 1:
-        raise ValueError("per_identity_enroll must be positive")
+    check_field("per_identity_enroll", per_identity_enroll, 1)
     by_identity: dict[str, list[Sample]] = {}
     for s in sorted(dataset.samples, key=lambda s: s.id):
         by_identity.setdefault(s.identity, []).append(s)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ShapeError
+from .net import ShapeError, check_field
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,8 @@ class Margins:
     alpha2: float = 0.4
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha1) and np.isfinite(self.alpha2)):
-            raise ValueError("margins must be finite")
+        check_field("alpha1", self.alpha1)
+        check_field("alpha2", self.alpha2)
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ValueError("margins must be >= 0")
 

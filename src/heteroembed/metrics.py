@@ -99,8 +99,8 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     gallery = np.atleast_2d(np.asarray(gallery, dtype=np.float64))
     if probes.size == 0 or gallery.size == 0:
         raise ValueError("probe and gallery sets must be nonempty")
-    if probes.shape[1] != gallery.shape[1]:
-        raise ShapeError("probe/gallery embedding dims differ")
+    if probes.ndim != 2 or gallery.ndim != 2 or probes.shape[1] != gallery.shape[1]:
+        raise ShapeError(f"probes {probes.shape} and gallery {gallery.shape} must be 2-D with equal dims")
     d = np.empty((probes.shape[0], gallery.shape[0]))
     for i, p in enumerate(probes):  # one row at a time: no (P, G, D) tensor
         diff = p - gallery

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ class ShapeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid network or run configuration."""
+    """Invalid configuration value: a network, run or data setting, or a count argument."""
 
 
 def parse_int(text: str) -> int:
@@ -38,6 +39,20 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(parse_int(v) for v in text.split(",")) if text else ()
 
 
+def check_field(name: str, value, minimum: int | None = None) -> None:
+    """Refuse, naming `name`, a non-finite real or, given `minimum`, a non-integer or smaller count."""
+    if minimum is None:
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        return
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {count}")
+
+
 @dataclass(frozen=True)
 class NetConfig:
     input_dim: int
@@ -47,9 +62,11 @@ class NetConfig:
     normalize_output: bool = True
 
     def __post_init__(self):
-        dims = (self.input_dim, *self.hidden_dims, self.embed_dim)
-        if any(int(d) < 1 for d in dims):
-            raise ConfigError(f"all layer dims must be >= 1, got {dims}")
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        check_field("input_dim", self.input_dim, 1)
+        for i, d in enumerate(self.hidden_dims):
+            check_field(f"hidden_dims[{i}]", d, 1)
+        check_field("embed_dim", self.embed_dim, 1)
         if self.activation not in ("relu", "tanh"):
             raise ConfigError(f"unknown activation {self.activation!r}")
 

@@ -7,7 +7,6 @@ lists so results are independent of dict iteration order.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
@@ -15,6 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .data import Dataset, draw_distinct
+from .net import check_field
 
 
 class InfeasibleError(ValueError):
@@ -28,12 +28,7 @@ class TupleSpec:
     k: int = 4
 
     def __post_init__(self):
-        try:
-            k = operator.index(self.k)
-        except TypeError:
-            raise ValueError(f"k must be an integer, got {self.k!r}") from None
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        check_field("k", self.k, 1)
 
 
 @dataclass
@@ -120,8 +115,7 @@ def epoch_tuples(
     index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec, n_tuples: int
 ) -> list[SampledTuple]:
     """n_tuples independent draws, each uniform over feasible (pair, anchor, negative), one table for all."""
-    if n_tuples < 0:
-        raise ValueError("n_tuples must be >= 0")
+    check_field("n_tuples", n_tuples, 0)
     if n_tuples == 0:
         return []
     table, ends = _feasible_table(index)

@@ -20,6 +20,7 @@ from .net import (
     NetConfig,
     adam_step,
     backward,
+    check_field,
     forward_batch,
     init_net,
 )
@@ -60,7 +61,6 @@ class TrainConfig:
     margins: Margins = field(default_factory=Margins)
     tuple_spec: TupleSpec = field(default_factory=TupleSpec)
     learning_rate: float = AdamState.learning_rate
-    lr_decay: float = 1.0
     epochs: int = 30
     tuples_per_epoch: int = 2000
     batch_size: int = 32
@@ -70,13 +70,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss_mode not in ("hetero", "triplet_baseline"):
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
-        if self.epochs < 0 or self.tuples_per_epoch < 1 or self.batch_size < 1:
-            raise ValueError("epochs/tuples_per_epoch/batch_size out of range")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (0 < self.learning_rate < np.inf and 0 < self.lr_decay < np.inf):
-            raise ValueError(f"learning_rate and lr_decay must be finite and > 0, "
-                             f"got {self.learning_rate!r} and {self.lr_decay!r}")
+        check_field("epochs", self.epochs, 0)
+        check_field("tuples_per_epoch", self.tuples_per_epoch, 1)
+        check_field("batch_size", self.batch_size, 1)
+        check_field("seed", self.seed, 0)
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 def _batch_step(
@@ -166,5 +165,4 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, Training
         loss, l1, l2, active, hinges = totals.tolist()
         log.records.append(EpochRecord(epoch=epoch, mean_loss=loss / n, mean_l1=l1 / n, mean_l2=l2 / n,
                                        active_fraction=active / hinges, lr=state.learning_rate))
-        state.learning_rate *= config.lr_decay
     return net, log

@@ -12,8 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from heteroembed import cli
 from heteroembed.data import SynthConfig, generate_synthetic
+from heteroembed.net import NetConfig
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
+from heteroembed.train import TrainConfig
 
 SPANS_PATH = Path(__file__).parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +44,26 @@ def test_tuple_keys_reads_the_sampler_output(spans):
     for a, b, p, q in keys:
         assert a != b and p != q
         assert {a, b} <= set(index.identities) and {p, q} <= set(index.domains)
+
+
+def test_layer_counters_read_the_run(spans):
+    # The counters read argument positions and result fields: a change to
+    # either would leave a per-layer figure silently at 0.
+    dataset = generate_synthetic(SynthConfig(n_identities=12, samples_per_identity_per_domain=4, feature_dim=4))
+    config = TrainConfig(net=NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4),
+                         epochs=2, tuples_per_epoch=30, batch_size=8)
+    rec = spans.Recorder()
+    rec.install(with_layers=True)
+    try:
+        rec.tracing = True
+        cli.run_compare(dataset, config, 0.5, 2)
+    finally:
+        rec.tracing = False
+        rec.uninstall()
+    counts = {key: value for (key, _), value in rec.counters.items()}
+    matrices = [result[2] for span, *_, result in rec.calls if span.startswith("cli.evaluate.")]
+    assert len(matrices) == 4  # both protocols for both losses
+    assert counts["sampler.tuples"] == 2 * 2 * 30  # two losses, two epochs
+    assert counts["net.forward_rows"] == counts["net.backward_rows"] > 0
+    assert counts["metrics.pairs"] == sum(d.size for d in matrices)
+    assert counts["metrics.roc_points"] > 0

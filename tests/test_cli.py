@@ -382,6 +382,20 @@ class TestEval:
         assert main(argv) == 0
         assert capsys.readouterr().out == with_roc
 
+    @pytest.mark.parametrize("writer", ["heteroembed.metrics.write_roc_csv", "heteroembed.cli.write_cmc_csv"])
+    def test_failed_curve_write_prints_no_report(self, tmp_path, small_manifest, monkeypatch, writer):
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN)
+        ckpt = tmp_path / "net.ckpt"
+        assert run_main(["train", "--config", cfg, "--data", small_manifest, "--out", ckpt])[0] == 0
+
+        def refuse(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(writer, refuse)
+        code, out, err = run_main(["eval", "--checkpoint", ckpt, "--config", cfg, "--data", small_manifest,
+                                   "--roc-out", tmp_path / "roc.csv", "--cmc-out", tmp_path / "cmc.csv"])
+        assert (code, out, err) == (2, "", "error: disk full\n")
+
     def test_cross_domain_memory_per_pair(self):
         # Evaluation keeps the distance matrix plus the sorted genuine and
         # impostor scores: about 16 bytes per probe x gallery pair.
@@ -594,7 +608,6 @@ REFERENCE_KEYS = {
     "margins.alpha2": ("margins", "alpha2", "float"),
     "tuple.k": ("tuple", "k", "int"),
     "optimizer.learning_rate": ("train", "learning_rate", "float"),
-    "optimizer.decay": ("train", "lr_decay", "float"),
     "epochs": ("train", "epochs", "int"),
     "tuples_per_epoch": ("train", "tuples_per_epoch", "int"),
     "batch_size": ("train", "batch_size", "int"),

@@ -175,6 +175,17 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             distance_matrix(np.zeros((1, 2)), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("probes,gallery", [((2, 2, 2), (2, 2, 2)), ((3, 2), (2, 2, 2)),
+                                                ((2, 1, 2), (3, 2)), ((3, 2), (3, 4))])
+    def test_shapes_refused(self, probes, gallery):
+        with pytest.raises(ShapeError) as info:
+            distance_matrix(np.zeros(probes), np.zeros(gallery))
+        assert str(info.value) == f"probes {probes} and gallery {gallery} must be 2-D with equal dims"
+
+    def test_one_dimensional_input_is_one_row(self):
+        d = distance_matrix(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
+        assert d.tolist() == [[25.0]]
+
     @pytest.mark.parametrize("shape", [(5, 7, 1), (9, 4, 8), (30, 25, 32), (11, 13, 33)])
     def test_bit_identical_to_broadcast_form(self, shape):
         rng = np.random.default_rng(sum(shape))

@@ -84,6 +84,13 @@ class TestInit:
         with pytest.raises(ConfigError):
             NetConfig(input_dim=2, hidden_dims=(0,), embed_dim=2)
 
+    def test_hidden_dims_stored_as_tuple(self, tmp_path):
+        config = NetConfig(input_dim=2, hidden_dims=[8])
+        assert config == NetConfig(input_dim=2, hidden_dims=(8,)) and config.hidden_dims == (8,)
+        assert hash(config) == hash(NetConfig(input_dim=2, hidden_dims=(8,)))
+        save_checkpoint(init_net(config, 0), tmp_path / "n.ckpt")
+        assert load_checkpoint(tmp_path / "n.ckpt").config == config
+
 
 class TestForward:
     def test_identity_map(self):

@@ -121,17 +121,7 @@ def test_non_finite_gradient_or_parameter_raises(monkeypatch, stage):
         train(small_dataset(), small_config(epochs=1, tuples_per_epoch=8))
 
 
-@pytest.mark.parametrize("decay", [1.0, 0.95, 0.5])
-def test_learning_rate_decays_once_per_epoch(decay):
-    _, log = train(small_dataset(), small_config(epochs=3, learning_rate=2e-3, lr_decay=decay))
-    assert [r.lr for r in log.records] == [2e-3, 2e-3 * decay, 2e-3 * decay * decay]
-
-
-@pytest.mark.parametrize(
-    "field,value",
-    [("learning_rate", v) for v in (float("nan"), -1.0, 0.0, float("inf"))]
-    + [("lr_decay", v) for v in (float("nan"), -0.5, 0.0, float("inf"))],
-)
+@pytest.mark.parametrize("field,value", [("learning_rate", v) for v in (float("nan"), -1.0, 0.0, float("inf"))])
 def test_non_finite_or_non_positive_rate_refused(field, value):
     with pytest.raises(ValueError, match="must be finite and > 0"):
         small_config(**{field: value})
