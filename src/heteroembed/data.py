@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .net import ShapeError, check_field, parse_int
+from .net import ShapeError, check_field, is_finite, parse_int
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
 # Manifest lines parsed or written per block: bounds the Python strings and
@@ -269,7 +269,7 @@ def draw_distinct(rng: np.random.Generator, items: list, n: int) -> list:
 
 def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     """Identity-disjoint train/test split; both sides keep at least one identity."""
-    if not 0.0 < train_fraction < 1.0:
+    if not (is_finite("train_fraction", train_fraction) and 0.0 < train_fraction < 1.0):
         raise ValueError("train_fraction must lie in (0, 1)")
     identities = dataset.identities()
     if len(identities) < 2:

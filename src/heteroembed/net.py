@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,18 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(parse_int(v) for v in text.split(",")) if text else ()
 
 
+def is_finite(name: str, value) -> bool:
+    """Whether the real `value` is finite; a ConfigError naming `name` if it is not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+
+
 def check_field(name: str, value, minimum: int | None = None) -> None:
-    """Refuse, naming `name`, a non-finite real or, given `minimum`, a non-integer or smaller count."""
+    """Refuse, naming `name`, a non-number or non-finite real or, given `minimum`, a non-integer or smaller count."""
     if minimum is None:
-        if not math.isfinite(value):
+        if not is_finite(name, value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
         return
     try:
@@ -62,6 +71,8 @@ class NetConfig:
     normalize_output: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.hidden_dims, Sequence):
+            raise ConfigError(f"hidden_dims must be a sequence of integers, got {self.hidden_dims!r}")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         check_field("input_dim", self.input_dim, 1)
         for i, d in enumerate(self.hidden_dims):
@@ -69,6 +80,8 @@ class NetConfig:
         check_field("embed_dim", self.embed_dim, 1)
         if self.activation not in ("relu", "tanh"):
             raise ConfigError(f"unknown activation {self.activation!r}")
+        if not isinstance(self.normalize_output, (bool, np.bool_)):
+            raise ConfigError(f"normalize_output must be a bool, got {self.normalize_output!r}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

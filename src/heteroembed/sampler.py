@@ -33,12 +33,20 @@ class TupleSpec:
 
 @dataclass
 class DatasetIndex:
-    groups: dict[tuple[str, str], list[int]]  # (identity, domain) -> sample ids
+    """The feasible-triple table, built once from the labels.
+
+    `pairs` holds, per ordered domain pair (p != q, domains sorted), the tuple
+    (p, q, negatives, in_p, in_q, anchors): the identities with >= 1 sample in p
+    and in q (sorted), each one's sorted sample ids in p and in q, and the
+    positions among them of the anchors, which also have >= 2 samples in p.
+    Triples are numbered by pair, then anchor, then negative b != a; pair k
+    holds the numbers ends[k - 1] to ends[k] - 1.
+    """
+
+    pairs: list[tuple[str, str, list[str], list[list[int]], list[list[int]], list[int]]]
+    ends: list[int]
     identities: list[str]
     domains: list[str]
-
-    def group(self, identity: str, domain: str) -> list[int]:
-        return self.groups.get((identity, domain), [])
 
 
 @dataclass
@@ -55,7 +63,7 @@ class SampledTuple:
 
 
 def build_index(dataset: Dataset) -> DatasetIndex:
-    """Group sample ids by (identity, domain) with sorted label lists."""
+    """The dataset's feasible-triple table (see DatasetIndex); infeasibility shows at the first draw."""
     if not dataset.samples:
         raise ValueError("cannot index an empty dataset")
     groups: dict[tuple[str, str], list[int]] = {}
@@ -63,68 +71,52 @@ def build_index(dataset: Dataset) -> DatasetIndex:
         groups.setdefault((s.identity, s.domain), []).append(s.id)
     for ids in groups.values():
         ids.sort()
-    return DatasetIndex(
-        groups=groups,
-        identities=dataset.identities(),
-        domains=dataset.domains(),
-    )
-
-
-def _compose(index, rng, spec, a, b, p, q) -> SampledTuple:
-    anchor_id, pos_same_id = draw_distinct(rng, index.group(a, p), 2)
-    (pos_cross_id,) = draw_distinct(rng, index.group(a, q), 1)
-    return SampledTuple(
-        anchor_id=anchor_id,
-        pos_same_id=pos_same_id,
-        pos_cross_id=pos_cross_id,
-        neg_same_ids=draw_distinct(rng, index.group(b, p), spec.k),
-        neg_cross_ids=draw_distinct(rng, index.group(b, q), spec.k),
-        identity_a=a,
-        identity_b=b,
-        domain_p=p,
-        domain_q=q,
-    )
-
-
-def _feasible_table(index: DatasetIndex) -> tuple[list, list[int]]:
-    """Per domain pair (p, q, negatives, anchor positions among them), and cumulative counts.
-
-    A negative has >= 1 sample in p and in q; an anchor also has >= 2 in p, so
-    it is a negative too. Triples are numbered by ordered pair (p != q, domains
-    sorted), then anchor, then negative b != a, identities sorted; pair k holds
-    the numbers ends[k - 1] to ends[k] - 1.
-    """
-    if len(index.identities) < 2:
-        raise InfeasibleError("index has fewer than 2 identities")
-    if len(index.domains) < 2:
-        raise InfeasibleError("no ordered domain pair available (need >= 2 domains)")
-    table, ends = [], []
-    for p, q in permutations(index.domains, 2):
-        negatives = [b for b in index.identities if index.group(b, p) and index.group(b, q)]
-        anchors = [s for s, a in enumerate(negatives) if len(index.group(a, p)) >= 2]
-        table.append((p, q, negatives, anchors))
+    identities, domains = dataset.identities(), dataset.domains()
+    pairs, ends = [], []
+    for p, q in permutations(domains, 2):
+        negatives = [b for b in identities if (b, p) in groups and (b, q) in groups]
+        in_p, in_q = [groups[b, p] for b in negatives], [groups[b, q] for b in negatives]
+        anchors = [s for s, ids in enumerate(in_p) if len(ids) >= 2]
+        pairs.append((p, q, negatives, in_p, in_q, anchors))
         ends.append((ends[-1] if ends else 0) + len(anchors) * (len(negatives) - 1))
-    if not any(anchors for _, _, _, anchors in table):
-        raise InfeasibleError("no identity has >= 2 samples in one domain and >= 1 in another")
-    if not ends[-1]:
-        raise InfeasibleError("no negative identity has samples in both domains of any feasible pair")
-    return table, ends
+    return DatasetIndex(pairs=pairs, ends=ends, identities=identities, domains=domains)
 
 
 def epoch_tuples(
     index: DatasetIndex, rng: np.random.Generator, spec: TupleSpec, n_tuples: int
 ) -> list[SampledTuple]:
-    """n_tuples independent draws, each uniform over feasible (pair, anchor, negative), one table for all."""
+    """n_tuples independent draws, each uniform over the index's feasible (pair, anchor, negative) triples."""
     check_field("n_tuples", n_tuples, 0)
     if n_tuples == 0:
         return []
-    table, ends = _feasible_table(index)
+    ends = index.ends
+    if len(index.identities) < 2:
+        raise InfeasibleError("index has fewer than 2 identities")
+    if len(index.domains) < 2:
+        raise InfeasibleError("no ordered domain pair available (need >= 2 domains)")
+    if not any(pair[-1] for pair in index.pairs):
+        raise InfeasibleError("no identity has >= 2 samples in one domain and >= 1 in another")
+    if not ends[-1]:
+        raise InfeasibleError("no negative identity has samples in both domains of any feasible pair")
     tuples = []
     for _ in range(n_tuples):
         i = int(rng.integers(ends[-1]))
         k = bisect_right(ends, i)
-        p, q, negatives, anchors = table[k]
+        p, q, negatives, in_p, in_q, anchors = index.pairs[k]
         s, r = divmod(i - (ends[k - 1] if k else 0), len(negatives) - 1)
-        a = anchors[s]  # a position among the negatives; the negative skips it
-        tuples.append(_compose(index, rng, spec, negatives[a], negatives[r + (r >= a)], p, q))
+        a = anchors[s]
+        b = r + (r >= a)  # the negative's position skips the anchor's
+        anchor_id, pos_same_id = draw_distinct(rng, in_p[a], 2)
+        (pos_cross_id,) = draw_distinct(rng, in_q[a], 1)
+        tuples.append(SampledTuple(
+            anchor_id=anchor_id,
+            pos_same_id=pos_same_id,
+            pos_cross_id=pos_cross_id,
+            neg_same_ids=draw_distinct(rng, in_p[b], spec.k),
+            neg_cross_ids=draw_distinct(rng, in_q[b], spec.k),
+            identity_a=negatives[a],
+            identity_b=negatives[b],
+            domain_p=p,
+            domain_q=q,
+        ))
     return tuples

@@ -23,6 +23,7 @@ from .net import (
     check_field,
     forward_batch,
     init_net,
+    is_finite,
 )
 from .sampler import SampledTuple, TupleSpec, build_index, epoch_tuples
 
@@ -74,7 +75,7 @@ class TrainConfig:
         check_field("tuples_per_epoch", self.tuples_per_epoch, 1)
         check_field("batch_size", self.batch_size, 1)
         check_field("seed", self.seed, 0)
-        if not 0 < self.learning_rate < np.inf:
+        if not (is_finite("learning_rate", self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 

@@ -1,7 +1,9 @@
 """Every count and real setting of the configs goes through `net.check_field`.
 
-A count must pass `operator.index` and reach its minimum; a real must be
-finite. A failure is one ValueError (a `ConfigError`) naming the field.
+A count must pass `operator.index` and reach its minimum; a real must be a
+number and finite. A failure is one ValueError (a `ConfigError`) naming the
+field. `NetConfig` also refuses a `hidden_dims` that is not a sequence and a
+`normalize_output` that is not a bool.
 """
 
 import math
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from heteroembed.cli import SplitConfig
-from heteroembed.data import SynthConfig, generate_synthetic, split_enroll_probe
+from heteroembed.data import DomainShift, SynthConfig, generate_synthetic, split_by_identity, split_enroll_probe
 from heteroembed.loss import Margins
 from heteroembed.net import ConfigError, NetConfig
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
@@ -75,3 +77,52 @@ def test_margin_must_be_finite(name, value):
     with pytest.raises(ConfigError) as info:
         Margins(**{name: value})
     assert str(info.value) == f"{name} must be finite, got {value!r}"
+
+
+# id -> (build something from the value, the name in the message)
+REALS = {
+    "Margins.alpha1": (lambda v: Margins(alpha1=v), "alpha1"),
+    "Margins.alpha2": (lambda v: Margins(alpha2=v), "alpha2"),
+    "DomainShift.rotation_angle_degrees": (lambda v: DomainShift(rotation_angle_degrees=v), "rotation_angle_degrees"),
+    "DomainShift.offset_magnitude": (lambda v: DomainShift(offset_magnitude=v), "offset_magnitude"),
+    "DomainShift.noise_scale": (lambda v: DomainShift(noise_scale=v), "noise_scale"),
+    "SynthConfig.cluster_spread": (lambda v: SynthConfig(cluster_spread=v), "cluster_spread"),
+    "TrainConfig.learning_rate": (lambda v: TrainConfig(net=NET, learning_rate=v), "learning_rate"),
+    "SplitConfig.train_fraction": (lambda v: SplitConfig(train_fraction=v), "train_fraction"),
+    "split_by_identity.train_fraction": (
+        lambda v: split_by_identity(generate_synthetic(SMALL), v, 0), "train_fraction"),
+}
+
+
+@pytest.mark.parametrize("value", ["0.4", None, [0.4], 1j])
+@pytest.mark.parametrize("field", REALS)
+def test_real_must_be_a_number(field, value):
+    build, name = REALS[field]
+    with pytest.raises(ConfigError) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("field", REALS)
+def test_numpy_real_passes(field):
+    build, _ = REALS[field]
+    build(np.float64(0.5))
+
+
+@pytest.mark.parametrize("value", [8, None, {8}])
+def test_hidden_dims_must_be_a_sequence(value):
+    with pytest.raises(ConfigError) as info:
+        NetConfig(input_dim=2, hidden_dims=value)
+    assert str(info.value) == f"hidden_dims must be a sequence of integers, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["no", "false", None, 0, 1])
+def test_normalize_output_must_be_a_bool(value):
+    with pytest.raises(ConfigError) as info:
+        NetConfig(input_dim=2, normalize_output=value)
+    assert str(info.value) == f"normalize_output must be a bool, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_bool_normalize_output_passes(value):
+    assert NetConfig(input_dim=2, normalize_output=value).normalize_output == value

@@ -8,7 +8,6 @@ from heteroembed.sampler import (
     InfeasibleError,
     SampledTuple,
     TupleSpec,
-    _compose,
     build_index,
     epoch_tuples,
 )
@@ -32,109 +31,138 @@ def add_samples(ds, identity, domain, n):
 # --- reference: the materialised enumeration the table-driven draw replaced ---
 
 
-def reference_feasible(index):
+def reference_groups(ds):
+    """(identity, domain) -> sorted sample ids, grouped from the samples."""
+    groups = {}
+    for s in ds.samples:
+        groups.setdefault((s.identity, s.domain), []).append(s.id)
+    return {key: sorted(ids) for key, ids in groups.items()}
+
+
+def reference_feasible(ds):
     """Every feasible (a, b, p, q) as one list, in draw order."""
-    pairs = [(p, q) for p in index.domains for q in index.domains if p != q]
+    groups = reference_groups(ds)
+    identities = sorted({s.identity for s in ds.samples})
+    domains = sorted({s.domain for s in ds.samples})
+    size = lambda ident, dom: len(groups.get((ident, dom), []))
     feasible = []
-    for p, q in pairs:
-        negatives = [b for b in index.identities
-                     if len(index.group(b, p)) >= 1 and len(index.group(b, q)) >= 1]
-        anchors = [a for a in index.identities
-                   if len(index.group(a, p)) >= 2 and len(index.group(a, q)) >= 1]
+    for p, q in [(p, q) for p in domains for q in domains if p != q]:
+        negatives = [b for b in identities if size(b, p) >= 1 and size(b, q) >= 1]
+        anchors = [a for a in identities if size(a, p) >= 2 and size(a, q) >= 1]
         feasible += [(a, b, p, q) for a in anchors for b in negatives if b != a]
     return feasible
 
 
-def reference_draws(index, rng, spec, n):
-    feasible = reference_feasible(index)
-    tuples = []
-    for _ in range(n):
-        a, b, p, q = feasible[rng.integers(len(feasible))]
-        tuples.append(_compose(index, rng, spec, a, b, p, q))
-    return tuples
+def reference_draws(ds, rng, spec, n):
+    feasible, groups = reference_feasible(ds), reference_groups(ds)
+    return [reference_compose(groups, rng, spec, *feasible[rng.integers(len(feasible))]) for _ in range(n)]
 
 
-def missing_domain_index():
+def missing_domain_dataset():
     ds = make_dataset(["a", "b", "c", "d"], ["0", "1"], 3)
     add_samples(ds, "e", "0", 4)  # no domain 1: neither anchor nor negative
-    add_samples(ds, "f", "1", 1)  # no domain 0
-    return build_index(ds)
+    return add_samples(ds, "f", "1", 1)  # no domain 0
 
 
-def anchors_and_negatives_index():
+def anchors_and_negatives_dataset():
     # a, b: anchors (and negatives) both ways; c: anchor only for (0, 1);
     # d: 1 sample per domain, a negative only; e: 2 samples in 0 only
     ds = make_dataset(["a", "b"], ["0", "1"], 2)
     add_samples(add_samples(ds, "c", "0", 3), "c", "1", 1)
     add_samples(add_samples(ds, "d", "0", 1), "d", "1", 1)
-    return build_index(add_samples(ds, "e", "0", 2))
+    return add_samples(ds, "e", "0", 2)
 
 
-def ragged_index():
+def ragged_dataset():
     ds = Dataset(samples=[], feature_dim=2)
     for n, ident in enumerate(["a", "b", "c", "d", "e"]):
         add_samples(add_samples(ds, ident, "0", 2 + n), ident, "1", 1 + 2 * n)
-    return build_index(ds)
+    return ds
 
 
-def one_pair_index():
+def one_pair_dataset():
     # only domain 1 holds >= 2 samples of an identity, so (1, 0) is the one
     # pair with anchors and the empty pair (0, 1) comes first in the table;
     # d: 1 sample per domain, a negative only
     ds = Dataset(samples=[], feature_dim=2)
     for ident in ["a", "b", "c"]:
         add_samples(add_samples(ds, ident, "0", 1), ident, "1", 3)
-    return build_index(add_samples(add_samples(ds, "d", "0", 1), "d", "1", 1))
+    return add_samples(add_samples(ds, "d", "0", 1), "d", "1", 1)
 
 
-def sparse_index():
+def sparse_dataset():
     # 200 identities, only 3 of them with domain B
     ids = [f"i{n:03d}" for n in range(200)]
     ds = make_dataset(ids, ["A"], 5)
     for ident in ids[:3]:
         add_samples(ds, ident, "B", 5)
-    return build_index(ds)
+    return ds
 
 
+# case -> (make the dataset, spec)
 REFERENCE_CASES = {
-    "missing_domain": (missing_domain_index, TupleSpec(k=2)),
-    "anchors_are_negatives": (anchors_and_negatives_index, TupleSpec(k=2)),
-    "one_feasible_pair": (one_pair_index, TupleSpec(k=3)),
-    "k_truncation": (ragged_index, TupleSpec(k=5)),
-    "three_domains": (lambda: build_index(make_dataset(["a", "b", "c", "d"], ["x", "y", "z"], 3)), TupleSpec(k=2)),
-    "sparse_200": (sparse_index, TupleSpec()),
+    "missing_domain": (missing_domain_dataset, TupleSpec(k=2)),
+    "anchors_are_negatives": (anchors_and_negatives_dataset, TupleSpec(k=2)),
+    "one_feasible_pair": (one_pair_dataset, TupleSpec(k=3)),
+    "k_truncation": (ragged_dataset, TupleSpec(k=5)),
+    "three_domains": (lambda: make_dataset(["a", "b", "c", "d"], ["x", "y", "z"], 3), TupleSpec(k=2)),
+    "sparse_200": (sparse_dataset, TupleSpec()),
 }
 
 
-def check_tuple(tup, index, spec):
+def check_tuple(tup, ds, spec):
+    groups = reference_groups(ds)
+    group = lambda ident, dom: groups.get((ident, dom), [])
     assert tup.identity_a != tup.identity_b
     assert tup.anchor_id != tup.pos_same_id
-    group_ap = index.group(tup.identity_a, tup.domain_p)
+    group_ap = group(tup.identity_a, tup.domain_p)
     assert tup.anchor_id in group_ap and tup.pos_same_id in group_ap
-    assert tup.pos_cross_id in index.group(tup.identity_a, tup.domain_q)
+    assert tup.pos_cross_id in group(tup.identity_a, tup.domain_q)
     assert tup.domain_p != tup.domain_q
-    assert len(tup.neg_same_ids) == min(spec.k, len(index.group(tup.identity_b, tup.domain_p)))
-    assert len(tup.neg_cross_ids) == min(spec.k, len(index.group(tup.identity_b, tup.domain_q)))
+    assert len(tup.neg_same_ids) == min(spec.k, len(group(tup.identity_b, tup.domain_p)))
+    assert len(tup.neg_cross_ids) == min(spec.k, len(group(tup.identity_b, tup.domain_q)))
     assert len(set(tup.neg_same_ids)) == len(tup.neg_same_ids)
     for i in tup.neg_same_ids:
-        assert i in index.group(tup.identity_b, tup.domain_p)
+        assert i in group(tup.identity_b, tup.domain_p)
     for i in tup.neg_cross_ids:
-        assert i in index.group(tup.identity_b, tup.domain_q)
+        assert i in group(tup.identity_b, tup.domain_q)
 
 
 class TestBuildIndex:
     def test_groups(self):
+        # ids: a in 0 -> 0, 1; a in 1 -> 2, 3; b in 0 -> 4, 5; b in 1 -> 6, 7
         index = build_index(make_dataset(["a", "b"], ["0", "1"], 2))
-        assert len(index.groups) == 4
-        assert all(len(ids) == 2 for ids in index.groups.values())
+        assert index.pairs == [
+            ("0", "1", ["a", "b"], [[0, 1], [4, 5]], [[2, 3], [6, 7]], [0, 1]),
+            ("1", "0", ["a", "b"], [[2, 3], [6, 7]], [[0, 1], [4, 5]], [0, 1]),
+        ]
+        assert index.ends == [2, 4]
         assert index.identities == ["a", "b"]
         assert index.domains == ["0", "1"]
 
     def test_partial_identity(self):
+        # b, with no sample in domain 1, is in no pair's table
         ds = make_dataset(["a"], ["0", "1"], 2)
         ds.samples.append(Sample(len(ds.samples), "b", "0", np.zeros(2)))
         index = build_index(ds)
-        assert index.group("b", "0") and not index.group("b", "1")
+        assert index.identities == ["a", "b"]
+        assert [pair[2] for pair in index.pairs] == [["a"], ["a"]]
+        assert index.ends == [0, 0]
+
+    def test_anchors_and_negatives_table(self):
+        # ids: a 0-3, b 4-7 (2 per domain); c in 0 -> 8, 9, 10, in 1 -> 11;
+        # d in 0 -> 12, in 1 -> 13; e in 0 -> 14, 15 only, so in no pair
+        index = build_index(anchors_and_negatives_dataset())
+        p, q, negatives, in_p, in_q, anchors = index.pairs[0]
+        assert (p, q, negatives, anchors) == ("0", "1", ["a", "b", "c", "d"], [0, 1, 2])
+        assert in_p == [[0, 1], [4, 5], [8, 9, 10], [12]]
+        assert in_q == [[2, 3], [6, 7], [11], [13]]
+        p, q, negatives, in_p, in_q, anchors = index.pairs[1]
+        assert (p, q, negatives, anchors) == ("1", "0", ["a", "b", "c", "d"], [0, 1])
+        assert in_p == [[2, 3], [6, 7], [11], [13]]
+        assert in_q == [[0, 1], [4, 5], [8, 9, 10], [12]]
+        # 3 anchors x 3 other negatives, then 2 anchors x 3
+        assert index.ends == [9, 15] and index.ends[-1] == len(reference_feasible(anchors_and_negatives_dataset()))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -143,10 +171,10 @@ class TestBuildIndex:
 
 class TestSampleTuple:
     def test_minimal_index(self):
-        index = build_index(make_dataset(["a", "b"], ["0", "1"], 2))
+        ds = make_dataset(["a", "b"], ["0", "1"], 2)
         spec = TupleSpec(k=2)
-        tup = epoch_tuples(index, np.random.default_rng(0), spec, 1)[0]
-        check_tuple(tup, index, spec)
+        tup = epoch_tuples(build_index(ds), np.random.default_rng(0), spec, 1)[0]
+        check_tuple(tup, ds, spec)
         assert len(tup.neg_same_ids) == 2
 
     def test_k_truncation(self):
@@ -170,21 +198,17 @@ class TestSampleTuple:
 
     def test_invariants_over_many_draws(self):
         rng = np.random.default_rng(42)
-        index = build_index(make_dataset([f"i{n}" for n in range(6)], ["0", "1", "2"], 3))
+        ds = make_dataset([f"i{n}" for n in range(6)], ["0", "1", "2"], 3)
+        index = build_index(ds)
         spec = TupleSpec(k=3)
         for _ in range(2000):
-            check_tuple(epoch_tuples(index, rng, spec, 1)[0], index, spec)
+            check_tuple(epoch_tuples(index, rng, spec, 1)[0], ds, spec)
 
-    def test_sparse_fallback_is_uniform(self):
-        # 200 identities, only 3 of them with domain B: the rejection loop
-        # nearly always gives up, and the fallback must not collapse onto
-        # one tuple. 3 anchors x 2 other negatives x 2 domain orders = 12.
-        ids = [f"i{n:03d}" for n in range(200)]
-        ds = make_dataset(ids, ["A"], 5)
-        for ident in ids[:3]:
-            for _ in range(5):
-                ds.samples.append(Sample(len(ds.samples), ident, "B", np.zeros(2)))
-        index = build_index(ds)
+    def test_sparse_index_draws_every_triple_evenly(self):
+        # 200 identities, only 3 of them with domain B: the draw runs over the
+        # feasible triples alone, so it reaches every one of them and none
+        # dominates. 3 anchors x 2 other negatives x 2 domain orders = 12.
+        index = build_index(sparse_dataset())
         tuples = epoch_tuples(index, np.random.default_rng(0), TupleSpec(), 2000)
         counts = {}
         for t in tuples:
@@ -199,32 +223,36 @@ class TestReferenceDraw:
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_epoch_tuples(self, case):
-        make_index, spec = REFERENCE_CASES[case]
-        index = make_index()
+        make_ds, spec = REFERENCE_CASES[case]
+        ds = make_ds()
+        index = build_index(ds)
         for seed in range(3):
-            got = epoch_tuples(index, np.random.default_rng(seed), spec, 300)
-            assert got == reference_draws(index, np.random.default_rng(seed), spec, 300)
+            # three epochs from one stream and one index, as `train` draws them
+            rng = np.random.default_rng(seed)
+            got = [t for _ in range(3) for t in epoch_tuples(index, rng, spec, 100)]
+            assert got == reference_draws(ds, np.random.default_rng(seed), spec, 300)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_one_tuple_epochs(self, case):
-        # epochs drawn from one stream continue it: building the table draws nothing
-        make_index, spec = REFERENCE_CASES[case]
-        index = make_index()
+        # epochs drawn from one stream continue it: an epoch draws nothing but its tuples
+        make_ds, spec = REFERENCE_CASES[case]
+        ds = make_ds()
+        index = build_index(ds)
         rng = np.random.default_rng(7)
         got = [epoch_tuples(index, rng, spec, 1)[0] for _ in range(100)]
-        assert got == reference_draws(index, np.random.default_rng(7), spec, 100)
+        assert got == reference_draws(ds, np.random.default_rng(7), spec, 100)
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_every_feasible_triple_drawn(self, case):
-        make_index, spec = REFERENCE_CASES[case]
-        index = make_index()
-        feasible = reference_feasible(index)
+        make_ds, spec = REFERENCE_CASES[case]
+        ds = make_ds()
+        feasible = reference_feasible(ds)
         assert len(set(feasible)) == len(feasible)
-        tuples = epoch_tuples(index, np.random.default_rng(0), spec, 40 * len(feasible))
+        tuples = epoch_tuples(build_index(ds), np.random.default_rng(0), spec, 40 * len(feasible))
         keys = {(t.identity_a, t.identity_b, t.domain_p, t.domain_q) for t in tuples}
         assert keys == set(feasible)
         for t in tuples:
-            check_tuple(t, index, spec)
+            check_tuple(t, ds, spec)
 
     def test_dense_index_is_uniform(self):
         # every identity is an anchor in every pair: 6 pairs x 6 anchors x 5 negatives
@@ -297,10 +325,10 @@ def reference_members(rng, ids, n):
     return [ids[i] for i in rng.permutation(len(ids))[:n]]
 
 
-def reference_compose(index, rng, spec, a, b, p, q):
-    anchor_id, pos_same_id = reference_members(rng, index.group(a, p), 2)
-    pos_cross_id = reference_members(rng, index.group(a, q), 1)[0]
-    neg_same, neg_cross = index.group(b, p), index.group(b, q)
+def reference_compose(groups, rng, spec, a, b, p, q):
+    anchor_id, pos_same_id = reference_members(rng, groups[a, p], 2)
+    pos_cross_id = reference_members(rng, groups[a, q], 1)[0]
+    neg_same, neg_cross = groups[b, p], groups[b, q]
     return SampledTuple(
         anchor_id, pos_same_id, pos_cross_id,
         reference_members(rng, neg_same, min(spec.k, len(neg_same))),
@@ -314,24 +342,23 @@ class TestMemberDraw:
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_epoch_tuples_match_reference(self, case):
-        make_index, spec = REFERENCE_CASES[case]
-        index = make_index()
-        feasible = reference_feasible(index)
+        make_ds, spec = REFERENCE_CASES[case]
+        ds = make_ds()
+        index = build_index(ds)
         for seed in range(3):
             ref_rng = np.random.default_rng(seed)
-            expected = [reference_compose(index, ref_rng, spec, *feasible[ref_rng.integers(len(feasible))])
-                        for _ in range(300)]
+            expected = reference_draws(ds, ref_rng, spec, 300)
             rng = np.random.default_rng(seed)
             assert epoch_tuples(index, rng, spec, 300) == expected
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_groups_unchanged(self, case):
-        make_index, spec = REFERENCE_CASES[case]
-        index = make_index()
-        before = copy.deepcopy(index.groups)
+        make_ds, spec = REFERENCE_CASES[case]
+        index = build_index(make_ds())
+        before = copy.deepcopy(index)
         epoch_tuples(index, np.random.default_rng(0), spec, 300)
-        assert index.groups == before
+        assert index == before
 
 
 class TestTupleSpec:
