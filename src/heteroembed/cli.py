@@ -20,6 +20,7 @@ from .data import (
     DomainShift,
     ParseError,
     SynthConfig,
+    check_train_fraction,
     generate_synthetic,
     load_manifest,
     save_manifest,
@@ -41,7 +42,6 @@ from .net import (
     NetConfig,
     ShapeError,
     check_field,
-    is_finite,
     load_checkpoint,
     parse_int,
     parse_int_list,
@@ -93,8 +93,7 @@ class SplitConfig:
     enroll_per_identity: int = 3  # gallery samples per test identity
 
     def __post_init__(self):
-        if not (is_finite("train_fraction", self.train_fraction) and 0.0 < self.train_fraction < 1.0):
-            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        check_train_fraction(self.train_fraction)
         check_field("enroll_per_identity", self.enroll_per_identity, 1)
 
 

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .net import ShapeError, check_field, is_finite, parse_int
+from .net import ConfigError, ShapeError, check_field, is_finite, parse_int
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
 # Manifest lines parsed or written per block: bounds the Python strings and
@@ -267,10 +267,15 @@ def draw_distinct(rng: np.random.Generator, items: list, n: int) -> list:
     return drawn[:n]
 
 
+def check_train_fraction(train_fraction) -> None:
+    """Refuse a train_fraction outside the open interval (0, 1)."""
+    if not (is_finite("train_fraction", train_fraction) and 0.0 < train_fraction < 1.0):
+        raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction!r}")
+
+
 def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     """Identity-disjoint train/test split; both sides keep at least one identity."""
-    if not (is_finite("train_fraction", train_fraction) and 0.0 < train_fraction < 1.0):
-        raise ValueError("train_fraction must lie in (0, 1)")
+    check_train_fraction(train_fraction)
     identities = dataset.identities()
     if len(identities) < 2:
         raise ValueError("need at least 2 identities to split")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ShapeError, check_field
+from .net import ConfigError, ShapeError, check_field
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class Margins:
     alpha2: float = 0.4
 
     def __post_init__(self):
-        check_field("alpha1", self.alpha1)
-        check_field("alpha2", self.alpha2)
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ValueError("margins must be >= 0")
+        for name, value in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
+            check_field(name, value)
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass

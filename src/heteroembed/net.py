@@ -8,11 +8,12 @@ deterministic given a seed.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -245,33 +246,30 @@ CHECKPOINT_MAGIC = "HETERO-EMBED-NET v1"
 CHECKPOINT_KEYS = ("input_dim", "hidden_dims", "embed_dim", "activation", "normalize_output")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _tensor_lines(config: NetConfig):
+    """(name, shape) of each tensor line, in file order: the order of `EmbeddingNet.params`."""
+    for i, (out_dim, in_dim) in enumerate(config.layer_dims):
+        yield f"layer{i}.weight", (out_dim, in_dim)
+        yield f"layer{i}.bias", (out_dim,)
 
 
 def save_checkpoint(net: EmbeddingNet, path) -> None:
-    """Write the network to the versioned text checkpoint format."""
+    """Write the network as the magic, one `key=value` line per CHECKPOINT_KEYS entry, then its tensor lines."""
     if not np.isfinite(net.params).all():
         raise ConfigError("cannot save a network with non-finite parameters")
     cfg = net.config
-    buf = io.StringIO()
-    buf.write(CHECKPOINT_MAGIC + "\n")
-    buf.write(f"input_dim={cfg.input_dim}\n")
-    buf.write(f"hidden_dims={','.join(str(d) for d in cfg.hidden_dims)}\n")
-    buf.write(f"embed_dim={cfg.embed_dim}\n")
-    buf.write(f"activation={cfg.activation}\n")
-    buf.write(f"normalize_output={'true' if cfg.normalize_output else 'false'}\n")
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        vals = " ".join(_fmt(v) for v in w.ravel())
-        buf.write(f"layer{i}.weight {w.shape[0]} {w.shape[1]} {vals}\n")
-        vals = " ".join(_fmt(v) for v in b)
-        buf.write(f"layer{i}.bias {b.shape[0]} {vals}\n")
+    values = (cfg.input_dim, ",".join(map(str, cfg.hidden_dims)), cfg.embed_dim, cfg.activation,
+              "true" if cfg.normalize_output else "false")
+    lines = [CHECKPOINT_MAGIC, *(f"{key}={value}" for key, value in zip(CHECKPOINT_KEYS, values))]
+    tokens = iter([format(v, ".17g") for v in net.params.tolist()])
+    for name, shape in _tensor_lines(cfg):
+        lines.append(" ".join([name, *map(str, shape), *islice(tokens, math.prod(shape))]))
     with open(path, "w", encoding="utf-8") as f:
-        f.write(buf.getvalue())
+        f.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> EmbeddingNet:
-    """Read a network back from the text checkpoint format."""
+    """Read back the lines `save_checkpoint` writes, each one in its place; any other text is refused."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
@@ -279,64 +277,46 @@ def load_checkpoint(path) -> EmbeddingNet:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    kv = {}
-    idx = 1
-    while idx < len(lines) and "=" in lines[idx] and " " not in lines[idx].split("=")[0]:
-        key, _, val = lines[idx].partition("=")
-        if key in kv:
-            raise ConfigError(f"{path}: duplicate checkpoint key {key!r}")
-        if key not in CHECKPOINT_KEYS:
-            raise ConfigError(f"{path}: unknown checkpoint key {key!r}")
-        kv[key] = val
-        idx += 1
-    for key in CHECKPOINT_KEYS:
-        if key not in kv:
-            raise ConfigError(f"{path}: missing checkpoint key {key!r}")
-    if kv["normalize_output"] not in ("true", "false"):
-        raise ConfigError(
-            f"{path}: normalize_output must be true or false, got {kv['normalize_output']!r}"
-        )
+
+    def line(n: int) -> str:
+        return lines[n - 1] if n <= len(lines) else ""
+
+    def refuse(n: int, expected: str) -> NoReturn:
+        got = repr((line(n).split() or [""])[0]) if n <= len(lines) else "end of file"
+        raise ConfigError(f"{path}: line {n}: expected {expected}, got {got}")
+
+    values = []
+    for n, key in enumerate(CHECKPOINT_KEYS, 2):
+        got, sep, value = line(n).partition("=")
+        if got != key or not sep:
+            refuse(n, repr(f"{key}="))
+        values.append(value)
+    input_dim, hidden_dims, embed_dim, activation, normalize = values
+    if normalize not in ("true", "false"):
+        raise ConfigError(f"{path}: normalize_output must be true or false, got {normalize!r}")
     try:
-        config = NetConfig(
-            input_dim=parse_int(kv["input_dim"]),
-            hidden_dims=parse_int_list(kv["hidden_dims"]),
-            embed_dim=parse_int(kv["embed_dim"]),
-            activation=kv["activation"],
-            normalize_output=kv["normalize_output"] == "true",
-        )
+        config = NetConfig(parse_int(input_dim), parse_int_list(hidden_dims), parse_int(embed_dim), activation,
+                           normalize == "true")
     except ValueError as exc:
         raise ConfigError(f"{path}: bad checkpoint header: {exc}") from exc
 
-    tensors = {}
-    for line in lines[idx:]:
-        if not line.strip():
-            continue
-        name, *fields = line.split()
-        if name in tensors:
-            raise ConfigError(f"{path}: duplicate tensor {name!r}")
-        if not name.endswith((".weight", ".bias")):
-            raise ConfigError(f"{path}: unknown tensor {name!r}")
-        n_dims = 2 if name.endswith(".weight") else 1
+    parts = []
+    for n, (name, shape) in enumerate(_tensor_lines(config), len(CHECKPOINT_KEYS) + 2):
+        got, *fields = line(n).split() or [""]
+        if got != name:
+            refuse(n, repr(name))
         try:
-            shape = tuple(parse_int(v) for v in fields[:n_dims])
-            vals = np.array([float(v) for v in fields[n_dims:]], dtype=np.float64)
+            dims = tuple(parse_int(v) for v in fields[: len(shape)])
+            vals = np.array([float(v) for v in fields[len(shape) :]], dtype=np.float64)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad tensor line for {name}") from exc
-        if len(shape) != n_dims or min(shape) < 0 or vals.size != math.prod(shape):
+        if len(dims) != len(shape) or min(dims) < 0 or vals.size != math.prod(dims):
             raise ConfigError(f"{path}: bad tensor line for {name}")
-        tensors[name] = vals.reshape(shape)
-        if not np.isfinite(tensors[name]).all():
+        if not np.isfinite(vals).all():
             raise ConfigError(f"{path}: non-finite value in {name}")
-
-    parts = []
-    for i, (out_dim, in_dim) in enumerate(config.layer_dims):
-        w = tensors.get(f"layer{i}.weight")
-        b = tensors.get(f"layer{i}.bias")
-        if w is None or b is None:
-            raise ConfigError(f"{path}: missing tensors for layer {i}")
-        if w.shape != (out_dim, in_dim) or b.shape != (out_dim,):
-            raise ShapeError(f"{path}: layer {i} shape mismatch with config")
-        parts += [w.ravel(), b]
-    if len(tensors) != 2 * len(config.layer_dims):
-        raise ConfigError(f"{path}: unexpected extra tensors")
+        if dims != shape:
+            raise ShapeError(f"{path}: {name} has shape {dims}, the header gives {shape}")
+        parts.append(vals)
+    if len(lines) > n:  # n is the last tensor line
+        refuse(n + 1, "end of file")
     return EmbeddingNet(config, np.concatenate(parts))

@@ -16,6 +16,7 @@ from .data import Dataset
 from .loss import Margins, EmbeddingTuple, hetero_loss_grad, triplet_loss_grad
 from .net import (
     AdamState,
+    ConfigError,
     EmbeddingNet,
     NetConfig,
     adam_step,
@@ -76,7 +77,7 @@ class TrainConfig:
         check_field("batch_size", self.batch_size, 1)
         check_field("seed", self.seed, 0)
         if not (is_finite("learning_rate", self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 def _batch_step(

@@ -490,6 +490,8 @@ class TestCheckpointText:
             lambda ls: ls[:6] + ["layer0.weight three 4 " + " ".join(ls[6].split()[3:])] + ls[7:],
             lambda ls: [l.replace("normalize_output=true", "normalize_output=1") for l in ls],
             lambda ls: ls[:6] + ["dropout=0.5"] + ls[6:],
+            lambda ls: [ls[0], ls[2], ls[1], *ls[3:]],  # a reordered header
+            lambda ls: ls[:7] + [""] + ls[7:],  # a blank line among the tensors
             *[lambda ls, v=v: [l.replace("input_dim=4", f"input_dim={v}") for l in ls]
               for v in ("+4", " 4", "1_0", "\u0664")],
             *[lambda ls, v=v: [l.replace("hidden_dims=3", f"hidden_dims={v}") for l in ls]
@@ -503,6 +505,14 @@ class TestCheckpointText:
         assert code == 2
         assert_one_outcome(code, out, err)
         assert "net.ckpt: " in err
+
+    def test_shape_disagreeing_with_header_exit_5(self, eval_inputs):
+        lines = checkpoint_lines()
+        lines[6] = lines[6].replace("layer0.weight 3 4 ", "layer0.weight 4 3 ")
+        code, out, err = eval_checkpoint_text(eval_inputs, "\n".join(lines) + "\n")
+        assert code == 5
+        assert_one_outcome(code, out, err)
+        assert err.endswith("net.ckpt: layer0.weight has shape (4, 3), the header gives (3, 4)\n")
 
     def test_writer_output_evaluates(self, eval_inputs):
         code, out, err = eval_checkpoint_text(eval_inputs, "\n".join(checkpoint_lines()) + "\n")

@@ -1,8 +1,9 @@
 """Every count and real setting of the configs goes through `net.check_field`.
 
 A count must pass `operator.index` and reach its minimum; a real must be a
-number and finite. A failure is one ValueError (a `ConfigError`) naming the
-field. `NetConfig` also refuses a `hidden_dims` that is not a sequence and a
+number and finite, and the margins, `learning_rate` and `train_fraction` must
+also lie in their intervals. A failure is one ValueError (a `ConfigError`)
+naming the field and the value. `NetConfig` also refuses a `hidden_dims` that is not a sequence and a
 `normalize_output` that is not a bool.
 """
 
@@ -107,6 +108,29 @@ def test_real_must_be_a_number(field, value):
 def test_numpy_real_passes(field):
     build, _ = REALS[field]
     build(np.float64(0.5))
+
+
+@pytest.mark.parametrize("value", [0, 1, -0.5, 1.5])
+@pytest.mark.parametrize("field", ["SplitConfig.train_fraction", "split_by_identity.train_fraction"])
+def test_train_fraction_outside_the_open_interval_refused(field, value):
+    build, _ = REALS[field]
+    with pytest.raises(ConfigError) as info:
+        build(value)
+    assert str(info.value) == f"train_fraction must lie in (0, 1), got {value!r}"
+
+
+@pytest.mark.parametrize("name", ["alpha1", "alpha2"])
+def test_negative_margin_refused(name):
+    with pytest.raises(ConfigError) as info:
+        Margins(**{name: -0.1})
+    assert str(info.value) == f"{name} must be >= 0, got -0.1"
+
+
+@pytest.mark.parametrize("value", [0, -1.0])
+def test_non_positive_learning_rate_refused(value):
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(net=NET, learning_rate=value)
+    assert str(info.value) == f"learning_rate must be finite and > 0, got {value!r}"
 
 
 @pytest.mark.parametrize("value", [8, None, {8}])

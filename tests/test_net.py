@@ -352,16 +352,51 @@ class TestCheckpoint:
             save_checkpoint(net, tmp_path / "nan.ckpt")
         assert not (tmp_path / "nan.ckpt").exists()
 
-    @pytest.mark.parametrize("line", [-1, 1])
-    def test_duplicate_line_rejected(self, tmp_path, line):
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (-1, "line 9: expected end of file, got 'layer0.bias'"),  # a tensor line
+            (1, "line 3: expected 'hidden_dims=', got 'input_dim=2'"),  # a header line
+        ],
+    )
+    def test_duplicate_line_rejected(self, tmp_path, line, message):
         net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         lines = path.read_text().splitlines()
-        lines.insert(line, lines[line])  # a tensor line, then a header key
+        lines.insert(line, lines[line])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError) as info:
             load_checkpoint(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("hidden", [(), (3,), (3, 5)])
+    @pytest.mark.parametrize("edit", ["swap", "blank"])
+    def test_lines_out_of_place_rejected(self, tmp_path, hidden, edit):
+        # every line after the magic has one place: swap two neighbours or add a blank line, and it is refused there
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=2, hidden_dims=hidden, embed_dim=2), 0), path)
+        lines = path.read_text().splitlines()
+        for i in range(1, len(lines) - 1 if edit == "swap" else len(lines) + 1):
+            edited = list(lines)
+            if edit == "swap":
+                edited[i], edited[i + 1] = edited[i + 1], edited[i]
+            else:
+                edited.insert(i, "")
+            path.write_text("\n".join(edited) + "\n")
+            with pytest.raises(ConfigError) as info:
+                load_checkpoint(path)
+            assert str(info.value).startswith(f"{path}: line {i + 1}: expected "), (i, str(info.value))
+
+    def test_shape_fields_disagreeing_with_header_rejected(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=2, embed_dim=2), 0), path)
+        lines = path.read_text().splitlines()
+        lines[6] = lines[6].replace("layer0.weight 2 2 ", "layer0.weight 1 4 ")  # still 4 values
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ShapeError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: layer0.weight has shape (1, 4), the header gives (2, 2)"
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -380,10 +415,14 @@ class TestCheckpoint:
              "normalize_output must be true or false, got 'yes'"),
             (lambda ls: [l.replace("normalize_output=true", "normalize_output=") for l in ls],
              "normalize_output must be true or false"),
-            (lambda ls: ls[:6] + ["extra_key=1"] + ls[6:], "unknown checkpoint key 'extra_key'"),
+            (lambda ls: ls[:6] + ["extra_key=1"] + ls[6:], "line 7: expected 'layer0.weight', got 'extra_key=1'"),
+            (lambda ls: [l.replace("hidden_dims=", "hidden_dims") for l in ls],
+             "line 3: expected 'hidden_dims=', got 'hidden_dims'"),
+            (lambda ls: ls[:-1], "line 8: expected 'layer0.bias', got end of file"),
             (lambda ls: [l.replace("input_dim=2", "input_dim=x") for l in ls], "bad checkpoint header"),
             (lambda ls: [l.replace("activation=relu", "activation=gelu") for l in ls], "bad checkpoint header"),
-            (lambda ls: [l for l in ls if not l.startswith("embed_dim=")], "missing checkpoint key 'embed_dim'"),
+            (lambda ls: [l for l in ls if not l.startswith("embed_dim=")],
+             "line 4: expected 'embed_dim=', got 'activation=relu'"),
             *[(lambda ls, v=v: [l.replace("input_dim=2", f"input_dim={v}") for l in ls], "bad checkpoint header")
               for v in ("+2", " 2", "0_2", "\u0662")],
             *[(lambda ls, v=v: [l.replace("hidden_dims=", f"hidden_dims={v}") for l in ls], "bad checkpoint header")
