@@ -97,14 +97,6 @@ class SplitConfig:
         check_field("enroll_per_identity", self.enroll_per_identity, 1)
 
 
-def parse_seed(text: str) -> int:
-    """A `parse_int` seed that numpy accepts: >= 0."""
-    seed = parse_int(text)
-    if seed < 0:
-        raise ValueError(f"negative seed {seed}")
-    return seed
-
-
 # Config schemas: dotted key -> (config class, field, parser). A key a file
 # leaves out keeps the field's dataclass default. Values parse in table order,
 # so the first bad value in this order is the one reported.
@@ -116,7 +108,7 @@ SYNTH_KEYS = {
     "synth.rotation_angle_degrees": (DomainShift, "rotation_angle_degrees", float),
     "synth.offset_magnitude": (DomainShift, "offset_magnitude", float),
     "synth.noise_scale": (DomainShift, "noise_scale", float),
-    "synth.seed": (SynthConfig, "seed", parse_seed),
+    "synth.seed": (SynthConfig, "seed", parse_int),
 }
 
 RUN_KEYS = {
@@ -131,7 +123,7 @@ RUN_KEYS = {
     "epochs": (TrainConfig, "epochs", parse_int),
     "tuples_per_epoch": (TrainConfig, "tuples_per_epoch", parse_int),
     "batch_size": (TrainConfig, "batch_size", parse_int),
-    "seed": (TrainConfig, "seed", parse_seed),
+    "seed": (TrainConfig, "seed", parse_int),
     "loss_mode": (TrainConfig, "loss_mode", str),
     "split.train_fraction": (SplitConfig, "train_fraction", float),
     "split.enroll_per_identity": (SplitConfig, "enroll_per_identity", parse_int),
@@ -228,11 +220,10 @@ def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
     return ident, verif, dist, probe_labels, gal_labels
 
 
-def report_lines(ident: IdentReport, verif: VerificationReport) -> list[str]:
-    lines = [f"rank1={ident.rank1:.9g}", f"eer={verif.eer:.9g}"]
-    for level in sorted(verif.gar_at):
-        lines.append(f"gar@{level:g}={verif.gar_at[level]:.9g}")
-    return lines
+def report_values(ident: IdentReport, verif: VerificationReport) -> dict[str, float]:
+    """rank1, eer, then gar@<far> for each FAR in ascending order."""
+    gars = {f"gar@{level:g}": verif.gar_at[level] for level in sorted(verif.gar_at)}
+    return {"rank1": ident.rank1, "eer": verif.eer, **gars}
 
 
 # --- commands ---------------------------------------------------------------
@@ -311,8 +302,8 @@ def cmd_eval(args) -> int:
     )
     if args.cmc_out:
         write_cmc_csv(ident, args.cmc_out)
-    for line in report_lines(ident, verif):
-        print(line)
+    for key, value in report_values(ident, verif).items():
+        print(f"{key}={value:.9g}")
     return 0
 
 
@@ -356,10 +347,7 @@ def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, en
             results[f"{key}.first_epoch_loss"] = log.records[0].mean_loss
             results[f"{key}.final_epoch_loss"] = log.records[-1].mean_loss
         ident, verif, _, _, _ = evaluate_enroll_probe(net, test_set, enroll, config.seed)
-        results[f"{key}.rank1"] = ident.rank1
-        results[f"{key}.eer"] = verif.eer
-        for level, gar in verif.gar_at.items():
-            results[f"{key}.gar@{level:g}"] = gar
+        results.update({f"{key}.{name}": value for name, value in report_values(ident, verif).items()})
         x_ident, x_verif, _, _, _ = evaluate_cross_domain(
             net, test_set, domains[0], domains[1]
         )
@@ -421,7 +409,7 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             try:
-                args.seed = parse_seed(args.seed)
+                args.seed = parse_int(args.seed)
             except ValueError as exc:
                 raise ParseError(f"option --seed: bad value {args.seed!r}") from exc
         return args.func(args)

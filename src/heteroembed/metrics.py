@@ -23,18 +23,13 @@ BLOCK = 1 << 16
 FAR_LEVELS = (0.001, 0.1)
 
 
-@dataclass
-class ScoreSet:
-    genuine: np.ndarray  # same-identity distances
-    impostor: np.ndarray  # different-identity distances
-
-
 @dataclass(frozen=True)
-class RocCurve:
-    """A ROC held as its genuine and impostor scores, each sorted ascending.
+class ScoreSet:
+    """Genuine (same-identity) and impostor distances.
 
-    The sweep's thresholds are -inf, every distinct score, then +inf; at each
-    one, FAR and GAR are the shares of impostor and genuine scores at or below
+    The ROC reads need both sorted ascending, as `roc` returns them: the
+    sweep's thresholds are -inf, every distinct score, then +inf, and at each
+    one FAR and GAR are the shares of impostor and genuine scores at or below
     it. `far`, `gar` and `threshold` build those arrays when read.
     """
 
@@ -84,11 +79,6 @@ class VerificationReport:
 
 def embed_dataset(net: EmbeddingNet, dataset: Dataset) -> np.ndarray:
     """Embed every sample: row i of the (n, embed_dim) result is sample i's embedding."""
-    if dataset.feature_dim != net.config.input_dim:
-        raise ShapeError(
-            f"dataset feature_dim {dataset.feature_dim} != net input_dim "
-            f"{net.config.input_dim}"
-        )
     feats = np.array([s.features for s in dataset.samples])
     return forward_batch(net, feats.reshape(len(dataset), dataset.feature_dim))
 
@@ -160,23 +150,19 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
     return IdentReport(rank_accuracies=np.cumsum(hits) / n_probes)
 
 
-def roc(scores: ScoreSet) -> RocCurve:
-    """The ROC of a score set: both score arrays sorted (one already sorted is not copied), NaN refused."""
-    genuine = np.asarray(scores.genuine, dtype=np.float64)
-    impostor = np.asarray(scores.impostor, dtype=np.float64)
-    if genuine.size == 0 or impostor.size == 0:
+def roc(scores: ScoreSet) -> ScoreSet:
+    """`scores` with both arrays sorted float64, copying neither that already is; refuses an empty or NaN set."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in (scores.genuine, scores.impostor)]
+    if min(a.size for a in arrays) == 0:
         raise ValueError("genuine and impostor sets must be nonempty")
-    return RocCurve(genuine=_ascending(genuine, "genuine"), impostor=_ascending(impostor, "impostor"))
+    arrays = [a if (a[1:] >= a[:-1]).all() else np.sort(a) for a in arrays]
+    for name, a in zip(("genuine", "impostor"), arrays):
+        if np.isnan(a[-1]):  # NaN sorts last
+            raise ValueError(f"NaN {name} score")
+    return ScoreSet(*arrays)
 
 
-def _ascending(scores: np.ndarray, name: str) -> np.ndarray:
-    scores = scores if (scores[1:] >= scores[:-1]).all() else np.sort(scores)
-    if np.isnan(scores[-1]):  # NaN sorts last
-        raise ValueError(f"NaN {name} score")
-    return scores
-
-
-def eer(curve: RocCurve) -> float:
+def eer(curve: ScoreSet) -> float:
     """Operating point where FAR equals FRR, linearly interpolated.
 
     FAR - FRR never falls along the sweep. The first threshold where it
@@ -209,7 +195,7 @@ def _below(scores: np.ndarray, threshold) -> float:
     return scores[j - 1] if j else -np.inf
 
 
-def gar_at_far(curve: RocCurve, far_level: float) -> float:
+def gar_at_far(curve: ScoreSet, far_level: float) -> float:
     """GAR at the requested FAR, interpolating between operating points.
 
     An operating point is a FAR the sweep reaches, with the highest GAR it
@@ -274,7 +260,7 @@ def verification_report(scores: ScoreSet, roc_out=None) -> VerificationReport:
     return report
 
 
-def write_roc_csv(curve: RocCurve, path) -> None:
+def write_roc_csv(curve: ScoreSet, path) -> None:
     points = curve.points()
     with open(path, "w", encoding="utf-8") as f:
         f.write("far,gar,threshold\n")

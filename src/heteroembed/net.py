@@ -56,6 +56,8 @@ def check_field(name: str, value, minimum: int | None = None) -> None:
             raise ConfigError(f"{name} must be finite, got {value!r}")
         return
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1, but a bool is no count
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None

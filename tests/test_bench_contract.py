@@ -1,8 +1,10 @@
-"""The names the benchmark's tracer patches exist in the library.
+"""The names the benchmark's tracer patches exist in the library, and its oracle runs.
 
 `perfbench/spans.py` wraps library functions by (module, attribute) and
 reads the sampler's output; a rename there would only show when the
-benchmark runs with `--trace 1`. These tests fail on it under pytest.
+benchmark runs with `--trace 1`. `perfbench/checks.py` calls the metrics
+and reads the evaluation results; a change there would only show in a
+benchmark run. These tests fail on either under pytest.
 """
 
 import importlib
@@ -13,20 +15,30 @@ import numpy as np
 import pytest
 
 from heteroembed import cli
-from heteroembed.data import SynthConfig, generate_synthetic
-from heteroembed.net import NetConfig
+from heteroembed.data import SynthConfig, generate_synthetic, split_by_identity
+from heteroembed.net import NetConfig, init_net
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
 from heteroembed.train import TrainConfig
 
-SPANS_PATH = Path(__file__).parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def _from_source(name):
+    # run from its source text, so no bytecode cache lands under perfbench/
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 @pytest.fixture(scope="module")
 def spans():
-    # run from its source text, so no bytecode cache lands under perfbench/
-    module = types.ModuleType("perfbench_spans")
-    exec(compile(SPANS_PATH.read_text(encoding="utf-8"), str(SPANS_PATH), "exec"), module.__dict__)
-    return module
+    return _from_source("spans")
+
+
+@pytest.fixture(scope="module")
+def checks():
+    return _from_source("checks")
 
 
 def test_every_patched_name_is_a_library_callable(spans):
@@ -67,3 +79,15 @@ def test_layer_counters_read_the_run(spans):
     assert counts["net.forward_rows"] == counts["net.backward_rows"] > 0
     assert counts["metrics.pairs"] == sum(d.size for d in matrices)
     assert counts["metrics.roc_points"] > 0
+
+
+def test_eval_bruteforce_accepts_both_protocols(checks):
+    # The benchmark's oracle builds a ScoreSet and calls roc, eer, gar_at_far
+    # and identify on each evaluate call's result.
+    dataset = generate_synthetic(SynthConfig(n_identities=12, samples_per_identity_per_domain=4, feature_dim=4))
+    _, test_set = split_by_identity(dataset, 0.5, 0)
+    net = init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0)
+    for kind, evaluate, args in [("enroll", cli.evaluate_enroll_probe, (net, test_set, 2, 0)),
+                                 ("cross", cli.evaluate_cross_domain, (net, test_set, "A", "B"))]:
+        name, ok, detail = checks.eval_bruteforce(kind, args, evaluate(*args), np.random.default_rng(0))
+        assert ok and "genuine pairs" in detail, (name, detail)

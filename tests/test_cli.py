@@ -22,11 +22,13 @@ from heteroembed.cli import (
     SplitConfig,
     main,
     parse_config_file,
+    report_values,
     run_config_from,
     synth_config_from,
 )
 from heteroembed.data import DomainShift, SynthConfig, load_manifest
 from heteroembed.loss import Margins
+from heteroembed.metrics import IdentReport, VerificationReport
 from heteroembed.net import CHECKPOINT_MAGIC, NetConfig, init_net, save_checkpoint
 from heteroembed.sampler import TupleSpec
 from heteroembed.train import TrainConfig
@@ -150,7 +152,7 @@ class TestRefusedBeforeTraining:
             monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
         cfg = write(tmp_path / "run.cfg", SMALL_RUN + f"{key}=-4\n")
         code, out, err = run_main(argv.format(tmp=tmp_path, cfg=cfg, data=small_manifest).split())
-        assert (code, out, err) == (2, "", f"error: config key '{key}': bad value '-4'\n")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -4\n")
         assert not (tmp_path / "d.hem").exists() and not (tmp_path / "n.ckpt").exists()
 
     @pytest.mark.parametrize("value", ["+4", " 4", "4 ", "1_0", "\u0664", "", "-4"])
@@ -169,7 +171,10 @@ class TestRefusedBeforeTraining:
         paths = dict(tmp=tmp_path, cfg=write(tmp_path / "run.cfg", SMALL_RUN), data=small_manifest, ckpt=ckpt)
         code, out, err = run_main(argv.format(**paths).split() + ["--seed", value])
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
+        if value == "-4":  # an integer: the config's seed check refuses it
+            assert err == "error: seed must be >= 0, got -4\n"
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1 and "--seed" in err
 
     @pytest.mark.parametrize("dim", ["+4", " 4", "4 ", "1_0", "\u0664"])
     def test_manifest_dim(self, tmp_path, small_manifest, monkeypatch, dim):
@@ -309,6 +314,12 @@ class TestEval:
         assert float(out["rank1"]) == 1.0
         assert float(out["eer"]) == 0.0
         assert float(out["gar@0.001"]) == 1.0
+
+    def test_report_values_order(self):
+        ident = IdentReport(rank_accuracies=np.array([0.5, 1.0]))
+        verif = VerificationReport(eer=0.25, gar_at={0.1: 0.75, 0.001: 0.5})
+        assert list(report_values(ident, verif).items()) == [
+            ("rank1", 0.5), ("eer", 0.25), ("gar@0.001", 0.5), ("gar@0.1", 0.75)]
 
     def test_reports_reproducible(self, tmp_path, small_manifest, capsys):
         cfg = write(tmp_path / "run.cfg", SMALL_RUN)

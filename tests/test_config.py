@@ -1,6 +1,6 @@
 """Every count and real setting of the configs goes through `net.check_field`.
 
-A count must pass `operator.index` and reach its minimum; a real must be a
+A count must pass `operator.index`, not be a bool, and reach its minimum; a real must be a
 number and finite, and the margins, `learning_rate` and `train_fraction` must
 also lie in their intervals. A failure is one ValueError (a `ConfigError`)
 naming the field and the value. `NetConfig` also refuses a `hidden_dims` that is not a sequence and a
@@ -46,7 +46,7 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, "4", None])
+@pytest.mark.parametrize("value", [2.5, "4", None, True])  # operator.index(True) is 1, but a bool is no count
 @pytest.mark.parametrize("field", COUNTS)
 def test_count_must_be_an_integer(field, value):
     build, _, name = COUNTS[field]

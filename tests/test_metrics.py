@@ -154,10 +154,12 @@ class TestEmbedDataset:
             np.testing.assert_allclose(out[row], forward_batch(net, s.features[None])[0], rtol=1e-12)
 
     def test_dim_mismatch(self):
+        # the one width check is forward_batch's
         net = init_net(NetConfig(input_dim=3, embed_dim=2), 0)
         ds = Dataset(samples=[Sample(0, "a", "A", np.zeros(2))], feature_dim=2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as info:
             embed_dataset(net, ds)
+        assert str(info.value) == "input dim 2 != config input_dim 3"
 
 
 class TestDistanceMatrix:
@@ -264,6 +266,18 @@ class TestIdentify:
 
 
 class TestRoc:
+    def test_returns_the_sorted_score_set(self):
+        curve = roc(ScoreSet(genuine=np.array([0.3, 0.1]), impostor=np.array([0.9, 0.2])))
+        assert isinstance(curve, ScoreSet)
+        np.testing.assert_array_equal(curve.genuine, [0.1, 0.3])
+        np.testing.assert_array_equal(curve.impostor, [0.2, 0.9])
+
+    def test_sorted_float64_arrays_are_not_copied(self):
+        scores = ScoreSet(genuine=np.array([0.1, 0.2]), impostor=np.array([0.15, 0.5, 0.9]))
+        curve = roc(scores)
+        assert np.shares_memory(curve.genuine, scores.genuine)
+        assert np.shares_memory(curve.impostor, scores.impostor)
+
     def test_separable(self):
         curve = roc(ScoreSet(genuine=np.array([0.1]), impostor=np.array([0.9])))
         hit = [(f, g) for f, g, t in zip(curve.far, curve.gar, curve.threshold) if t == 0.1]
