@@ -1,9 +1,9 @@
 """Command-line entry point: synth / train / eval / compare.
 
 Config files are flat `key=value` text with dotted keys, e.g.
-`net.embed_dim=32`. Lines starting with '#' are comments. Exit codes:
-0 success, 2 config/parse or file error, 3 sampler infeasibility, 4 numerical
-failure, 5 shape mismatch.
+`net.embed_dim=32`; a line whose first non-blank character is '#' is a
+comment. Exit codes: 0 success, 2 config/parse or file error, 3 sampler
+infeasibility, 4 numerical failure, 5 shape mismatch.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 from .data import (
     Dataset,
     DomainShift,
-    ParseError,
     SynthConfig,
     check_train_fraction,
     generate_synthetic,
@@ -40,12 +39,14 @@ from .metrics import (
 )
 from .net import (
     NetConfig,
+    ParseError,
     ShapeError,
     check_field,
     load_checkpoint,
     parse_int,
     parse_int_list,
     save_checkpoint,
+    text_lines,
 )
 from .sampler import InfeasibleError, TupleSpec
 from .train import NumericalError, TrainConfig, train
@@ -59,14 +60,7 @@ EXIT_SHAPE = 5
 def parse_config_file(path) -> dict[str, str]:
     """Read flat key=value config text into a dict."""
     out: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -128,8 +122,6 @@ RUN_KEYS = {
     "split.train_fraction": (SplitConfig, "train_fraction", float),
     "split.enroll_per_identity": (SplitConfig, "enroll_per_identity", parse_int),
 }
-
-RUN_KEYS_DOC = ", ".join(RUN_KEYS)
 
 
 def _fields(cfg: dict[str, str], schema: dict) -> dict[type, dict]:
@@ -200,14 +192,27 @@ def evaluate_cross_domain(
 
 
 def _in_domain(dataset: Dataset, domain: str) -> Dataset:
-    return Dataset(samples=[s for s in dataset.samples if s.domain == domain], feature_dim=dataset.feature_dim)
+    samples = [s for s in dataset.samples if s.domain == domain]
+    if not samples:
+        raise ValueError(f"cross-domain protocol: the test split has no sample in domain {domain!r}")
+    return Dataset(samples=samples, feature_dim=dataset.feature_dim)
+
+
+def _labels(gallery: Dataset, probes: Dataset) -> tuple[list, list]:
+    """The gallery and probe identity lists; refused, by the labels alone, if the pair cannot be scored."""
+    gal_labels = [s.identity for s in gallery.samples]
+    probe_labels = [s.identity for s in probes.samples]
+    held = set(gal_labels)
+    missing = sorted(set(probe_labels) - held)
+    if missing:
+        raise ValueError(f"probe identity {missing[0]!r} has no sample in the gallery")
+    if len(held) == 1:
+        raise ValueError(f"the gallery holds one identity, {gal_labels[0]!r}: no impostor pair")
+    return gal_labels, probe_labels
 
 
 def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
-    gal_labels = [s.identity for s in gallery.samples]
-    probe_labels = [s.identity for s in probes.samples]
-    if len(set(gal_labels)) == 1:  # refused by its labels, before any embedding
-        raise ValueError(f"the gallery holds one identity, {gal_labels[0]!r}: no impostor pair")
+    gal_labels, probe_labels = _labels(gallery, probes)  # before any embedding
     # A network that overflows on this data is reported once, as a
     # NumericalError, not as numpy warnings and metrics of NaN distances.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -307,26 +312,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _check_test_split(test_set: Dataset, enroll: int, seed: int, gallery: str, probe: str) -> None:
-    """Refuse, naming the identity or domain, a test split that `run_compare` could not score.
-
-    These failures depend on the labels alone, so they are found before training.
-    A one-identity split fails the last check: its gallery domain holds at most one.
-    """
-    split_enroll_probe(test_set, enroll, seed)  # raises for an identity with too few samples
-    held = {d: set(_in_domain(test_set, d).identities()) for d in (gallery, probe)}
-    for domain, identities in held.items():
-        if not identities:
-            raise ValueError(f"cross-domain protocol: the test split has no sample in domain {domain!r}")
-    missing = sorted(held[probe] - held[gallery])
-    if missing:
-        raise ValueError(f"cross-domain protocol: probe identity {missing[0]!r} has no sample "
-                         f"in gallery domain {gallery!r}")
-    if len(held[gallery]) < 2:
-        raise ValueError(f"cross-domain protocol: gallery domain {gallery!r} holds one identity, "
-                         f"{min(held[gallery])!r}: no impostor pair")
-
-
 def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, enroll: int):
     """Train baseline and hetero on identical data/seed; evaluate the same split.
 
@@ -338,7 +323,8 @@ def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, en
     domains = dataset.domains()
     if len(domains) < 2:
         raise InfeasibleError("compare needs at least 2 domains")
-    _check_test_split(test_set, enroll, config.seed, domains[0], domains[1])
+    split_enroll_probe(test_set, enroll, config.seed)  # refuses an identity with too few samples
+    _labels(_in_domain(test_set, domains[0]), _in_domain(test_set, domains[1]))
     results: dict[str, float] = {}
     for mode in ("triplet_baseline", "hetero"):
         net, log = train(train_set, replace(config, loss_mode=mode))
@@ -372,35 +358,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heterogeneity-aware embedding training and evaluation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options every command takes, then the ones the run commands add; each
+    # command's description lists the config keys it reads.
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value config (keys listed above)")
+    shared.add_argument("--seed", help="override the config seed")
+    run = argparse.ArgumentParser(add_help=False, parents=[shared])
+    run.add_argument("--data", required=True, help="input .hem manifest")
 
-    p = sub.add_parser("synth", help="generate a synthetic two-domain manifest")
-    p.add_argument("--config", help=f"flat key=value config ({', '.join(SYNTH_KEYS)})")
+    def command(name, parent, keys, func, help):
+        p = sub.add_parser(name, parents=[parent], help=help, description=f"config keys: {', '.join(keys)}")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", shared, SYNTH_KEYS, cmd_synth, "generate a synthetic two-domain manifest")
     p.add_argument("--out", required=True, help="output .hem manifest path")
-    p.add_argument("--seed", help="override the config seed")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train an embedding network")
-    p.add_argument("--config", help=f"flat key=value config ({RUN_KEYS_DOC})")
-    p.add_argument("--data", required=True, help="input .hem manifest")
+    p = command("train", run, RUN_KEYS, cmd_train, "train an embedding network")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--log-out", help="training log CSV path (default <out>.log.csv)")
-    p.add_argument("--seed", help="override the config seed")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
+    p = command("eval", run, RUN_KEYS, cmd_eval, "evaluate a checkpoint on the test split")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--config", help=f"flat key=value config ({RUN_KEYS_DOC})")
-    p.add_argument("--data", required=True, help="input .hem manifest")
-    p.add_argument("--seed", help="override the config seed")
     p.add_argument("--roc-out", help="write the ROC curve CSV here")
     p.add_argument("--cmc-out", help="write the CMC curve CSV here")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("compare", help="train+evaluate baseline and hetero losses")
-    p.add_argument("--config", help=f"flat key=value config ({RUN_KEYS_DOC})")
-    p.add_argument("--data", required=True, help="input .hem manifest")
-    p.add_argument("--seed", help="override the config seed")
-    p.set_defaults(func=cmd_compare)
+    command("compare", run, RUN_KEYS, cmd_compare, "train+evaluate baseline and hetero losses")
     return parser
 
 

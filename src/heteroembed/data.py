@@ -14,16 +14,12 @@ from itertools import islice
 
 import numpy as np
 
-from .net import ConfigError, ShapeError, check_field, is_finite, parse_int
+from .net import ConfigError, ParseError, ShapeError, check_field, is_finite, parse_int, text_lines
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
 # Manifest lines parsed or written per block: bounds the Python strings and
 # floats held at once.
 MANIFEST_CHUNK_LINES = 256
-
-
-class ParseError(ValueError):
-    """Malformed manifest or config file."""
 
 
 @dataclass
@@ -80,17 +76,10 @@ class SynthConfig:
 def load_manifest(path) -> Dataset:
     """Parse a `.hem` manifest into a Dataset. Ids follow record order from 0.
 
-    Lines are numbered as `str.splitlines` splits the text, and the file is
-    read MANIFEST_CHUNK_LINES lines at a time.
+    Lines are numbered as `net.text_lines` splits the text, and the file is
+    parsed MANIFEST_CHUNK_LINES lines at a time.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return _read_manifest(path, (part for line in f for part in line.splitlines()))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-
-
-def _read_manifest(path, lines) -> Dataset:
+    lines = text_lines(path)
     header = next(lines, None)
     if header is None:
         raise ParseError(f"{path}: empty file")
@@ -179,6 +168,10 @@ def save_manifest(dataset: Dataset, path) -> None:
     for label in [*identities, *domains]:
         if "," in label or "".join(label.splitlines()) != label:
             raise ParseError(f"label {label!r} holds a comma or line break")
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(f"label {label!r} is not UTF-8 text ({exc.reason})") from exc
     for identity in identities:
         if identity.startswith("#"):
             raise ParseError(f"identity {identity!r} would read as a comment")
@@ -276,6 +269,7 @@ def check_train_fraction(train_fraction) -> None:
 def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     """Identity-disjoint train/test split; both sides keep at least one identity."""
     check_train_fraction(train_fraction)
+    check_field("seed", seed, 0)
     identities = dataset.identities()
     if len(identities) < 2:
         raise ValueError("need at least 2 identities to split")
@@ -292,6 +286,7 @@ def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
 def split_enroll_probe(dataset: Dataset, per_identity_enroll: int, seed: int):
     """Per identity, enroll a fixed number of samples; the rest become probes."""
     check_field("per_identity_enroll", per_identity_enroll, 1)
+    check_field("seed", seed, 0)
     by_identity: dict[str, list[Sample]] = {}
     for s in sorted(dataset.samples, key=lambda s: s.id):
         by_identity.setdefault(s.identity, []).append(s)

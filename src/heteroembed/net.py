@@ -28,6 +28,23 @@ class ConfigError(ValueError):
     """Invalid configuration value: a network, run or data setting, or a count argument."""
 
 
+class ParseError(ValueError):
+    """Malformed manifest or config file, or an input file that is not UTF-8 text."""
+
+
+def text_lines(path):
+    """The lines of the UTF-8 file at `path`, split as `str.splitlines` splits, read as they are consumed.
+
+    Undecodable bytes raise ParseError("<path>: not UTF-8 text (<reason>)").
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for line in f:
+                yield from line.splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def parse_int(text: str) -> int:
     """The integer an ASCII `-?[0-9]+` spelling names; ValueError for any other text."""
     digits = text[1:] if text.startswith("-") else text
@@ -133,6 +150,7 @@ class EmbeddingNet:
 
 def init_net(config: NetConfig, seed: int) -> EmbeddingNet:
     """Build a network with 1/sqrt(fan_in)-scaled Gaussian weights, zero biases."""
+    check_field("seed", seed, 0)
     rng = np.random.default_rng(seed)
     net = EmbeddingNet(config, np.zeros(config.n_params))
     for w in net.weights:
@@ -272,11 +290,7 @@ def save_checkpoint(net: EmbeddingNet, path) -> None:
 
 def load_checkpoint(path) -> EmbeddingNet:
     """Read back the lines `save_checkpoint` writes, each one in its place; any other text is refused."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    lines = list(text_lines(path))
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
 

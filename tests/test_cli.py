@@ -78,6 +78,16 @@ class TestConfigParsing:
         with pytest.raises(ParseError):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("value", ["false", "0", "NO"])
+    def test_normalize_output_false(self, value):
+        assert run_config_from({"net.normalize_output": value}, 4)[0].net.normalize_output is False
+
+    def test_normalize_output_neither_true_nor_false_refused(self, tmp_path, small_manifest):
+        cfg = write(tmp_path / "run.cfg", "net.normalize_output=maybe\n")
+        code, out, err = run_main(["train", "--config", cfg, "--data", small_manifest, "--out", tmp_path / "n.ckpt"])
+        assert (code, out, err) == (2, "", "error: config key 'net.normalize_output': bad value 'maybe'\n")
+        assert not (tmp_path / "n.ckpt").exists()
+
     def test_seed_override_passes_the_config_checks(self):
         assert run_config_from({"seed": "3"}, 4, seed_override=7)[0].seed == 7
         assert synth_config_from({"synth.seed": "3"}, seed_override=7).seed == 7
@@ -345,8 +355,9 @@ class TestEval:
 
         samples = [Sample(0, "a", "A", np.zeros(2)), Sample(1, "b", "A", np.ones(2))]
         net = init_net(NetConfig(input_dim=2, embed_dim=2), 0)
-        with pytest.raises(ValueError, match="must be nonempty"):
+        with pytest.raises(ValueError) as info:
             evaluate_cross_domain(net, Dataset(samples=samples, feature_dim=2), gallery, probe)
+        assert str(info.value) == "cross-domain protocol: the test split has no sample in domain 'B'"
 
     def test_one_identity_test_split_refused_before_embedding(self, tmp_path, monkeypatch):
         # two identities and train_fraction 0.8: one identity trains, the other is the test split
@@ -836,6 +847,22 @@ class TestUndecodableInput:
         assert not (tmp_path / "out").exists()
 
 
+class TestMissingConfig:
+    """A --config path that names no file: exit 2, the one error line of any file that cannot be opened."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["synth --config {cfg} --out {tmp}/out",
+         "train --config {cfg} --data {data} --out {tmp}/out",
+         "compare --config {cfg} --data {data}"],
+    )
+    def test_exit_2_one_error_line(self, tmp_path, small_manifest, argv):
+        cfg = tmp_path / "missing.cfg"
+        code, out, err = run_main(argv.format(cfg=cfg, data=small_manifest, tmp=tmp_path).split())
+        assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: '{cfg}'\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestCollidingPaths:
     """An output that resolves to an input or to another output: exit 2, one error line, nothing written."""
 
@@ -898,10 +925,10 @@ class TestCompare:
              "cross-domain protocol: the test split has no sample in domain 'B'"),
             # test identity id000 has no domain A sample for the gallery
             (20, 5, ("A", range(3)), "split.train_fraction=0.5", "3",
-             "probe identity 'id000' has no sample in gallery domain 'A'"),
+             "probe identity 'id000' has no sample in the gallery"),
             # one test identity: every pair is genuine
             (4, 3, None, "split.train_fraction=0.75\nsplit.enroll_per_identity=1", None,
-             "gallery domain 'A' holds one identity, 'id000': no impostor pair"),
+             "the gallery holds one identity, 'id000': no impostor pair"),
         ],
         ids=["too_few_to_enroll", "no_test_sample_in_B", "probe_missing_from_gallery", "one_test_identity"],
     )
@@ -923,6 +950,16 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
+    def test_one_domain_manifest_exit_3(self, tmp_path, small_manifest, monkeypatch):
+        from heteroembed.data import Dataset, save_manifest
+
+        full = load_manifest(small_manifest)
+        data = tmp_path / "one_domain.hem"
+        save_manifest(Dataset(samples=[s for s in full.samples if s.domain == "A"], feature_dim=4), data)
+        monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
+        code, out, err = run_main(["compare", "--config", write(tmp_path / "run.cfg", SMALL_RUN), "--data", data])
+        assert (code, out, err) == (3, "", "error: compare needs at least 2 domains\n")
+
 
 def test_manifest_round_trip_via_cli(tmp_path, small_manifest):
     ds = load_manifest(small_manifest)
@@ -933,27 +970,15 @@ def test_manifest_round_trip_via_cli(tmp_path, small_manifest):
     assert again.read_bytes() == small_manifest.read_bytes()
 
 
-def test_readme_config_block_matches_cli_defaults():
+def test_readme_config_block_matches_cli_defaults(tmp_path):
+    # the block, saved as it stands, is a config file that sets every key to its default
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config files", 1)[1].split("```", 2)[1]
-    config, train_fraction, enroll = run_config_from({}, 16)
-    synth = synth_config_from({})
-    effective = {
-        "NetConfig": config.net, "Margins": config.margins, "TupleSpec": config.tuple_spec,
-        "TrainConfig": config, "SplitConfig": SplitConfig(train_fraction, enroll),
-        "SynthConfig": synth, "DomainShift": synth.domain_shift,
-    }
-    schema = {**RUN_KEYS, **SYNTH_KEYS}
-    documented = []
-    for line in block.splitlines():
-        key, _, raw = line.split("#", 1)[0].strip().partition("=")
-        if not key:
-            continue
-        assert key in schema, key
-        cls, name, parse = schema[key]
-        assert parse(raw) == getattr(effective[cls.__name__], name), key
-        documented.append(key)
-    assert sorted(documented) == sorted(schema)
+    cfg = parse_config_file(write(tmp_path / "readme.cfg", block))
+    assert sorted(cfg) == sorted({**RUN_KEYS, **SYNTH_KEYS})
+    assert run_config_from(cfg, 16) == run_config_from({}, 16)
+    synth_lines = {key: value for key, value in cfg.items() if key.startswith("synth.")}
+    assert synth_config_from(synth_lines) == synth_config_from({})
 
 
 class TestAsAProcess:

@@ -15,7 +15,7 @@ import pytest
 from heteroembed.cli import SplitConfig
 from heteroembed.data import DomainShift, SynthConfig, generate_synthetic, split_by_identity, split_enroll_probe
 from heteroembed.loss import Margins
-from heteroembed.net import ConfigError, NetConfig
+from heteroembed.net import ConfigError, NetConfig, init_net
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
 from heteroembed.train import TrainConfig
 
@@ -43,6 +43,9 @@ COUNTS = {
         0, "n_tuples"),
     "split_enroll_probe.per_identity_enroll": (
         lambda v: split_enroll_probe(generate_synthetic(SMALL), v, 0), 1, "per_identity_enroll"),
+    "split_by_identity.seed": (lambda v: split_by_identity(generate_synthetic(SMALL), 0.5, v), 0, "seed"),
+    "split_enroll_probe.seed": (lambda v: split_enroll_probe(generate_synthetic(SMALL), 1, v), 0, "seed"),
+    "init_net.seed": (lambda v: init_net(NET, v), 0, "seed"),
 }
 
 

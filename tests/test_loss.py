@@ -65,6 +65,13 @@ class TestMeanEmbedding:
         with pytest.raises(ValueError):
             mean_embedding([])
 
+    @pytest.mark.parametrize("count", [[0], [2, 0]])
+    def test_zero_count_rejected(self, count):
+        sets = np.ones((len(count), 3, 2))
+        with pytest.raises(ValueError) as info:
+            mean_embedding(sets, np.array(count))
+        assert str(info.value) == "each negative set needs a count >= 1"
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ShapeError, match="mixed dims"):
             mean_embedding([v(1, 0), v(1, 0, 0)])

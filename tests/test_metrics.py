@@ -217,6 +217,12 @@ class TestIdentify:
         with pytest.raises(ValueError, match="no probes"):
             identify(np.zeros((0, n_gallery)), [], ["a", "b", "a"][:n_gallery])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 2), (2, 2, 1)])
+    def test_matrix_not_matching_the_labels_refused(self, shape):
+        with pytest.raises(ShapeError) as info:
+            identify(np.zeros(shape), ["a", "b"], ["a", "b"])
+        assert str(info.value) == "distance matrix does not match label lists"
+
     def test_strict_missing_identity(self):
         with pytest.raises(ValueError):
             identify(np.array([[0.1]]), ["ghost"], ["a"])
@@ -299,6 +305,15 @@ class TestRoc:
         for (f, g, t), cf, cg, ct in zip(expected, curve.far, curve.gar, curve.threshold):
             assert abs(cf - f) < 1e-12 and abs(cg - g) < 1e-12
             assert ct == t
+
+    @pytest.mark.parametrize("side", ["genuine", "impostor", "both"])
+    def test_empty_score_set_refused(self, side):
+        sets = {"genuine": np.array([0.1]), "impostor": np.array([0.9])}
+        for name in sets if side == "both" else [side]:
+            sets[name] = np.array([])
+        with pytest.raises(ValueError) as info:
+            roc(ScoreSet(**sets))
+        assert str(info.value) == "genuine and impostor sets must be nonempty"
 
     @pytest.mark.parametrize("side", ["genuine", "impostor"])
     @pytest.mark.parametrize("scores", [[np.nan], [0.1, 0.2, np.nan], [np.nan, -np.inf, np.inf]])

@@ -177,6 +177,18 @@ class TestBackward:
         assert grad.shape == net.params.shape
         assert np.all(grad == 0.0)
 
+    @pytest.mark.parametrize(
+        "inputs,grads,message",
+        [((3, 3), (2, 2), "batch size mismatch between inputs and gradients"),
+         ((2, 4), (2, 2), "input dim mismatch"),
+         ((2, 3), (2, 3), "gradient dim mismatch")],
+    )
+    def test_shape_mismatch_refused(self, inputs, grads, message):
+        net = init_net(NetConfig(input_dim=3, hidden_dims=(4,), embed_dim=2), 0)
+        with pytest.raises(ShapeError) as info:
+            backward(net, np.ones(inputs), np.ones(grads))
+        assert str(info.value) == message
+
     def test_linear_chain_rule(self):
         net = identity_net(2)
         x = np.array([1.0, 2.0])
