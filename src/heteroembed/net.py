@@ -25,20 +25,20 @@ class ShapeError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value: a network, run or data setting, or a count argument."""
+    """A value a config dataclass refuses: a network, run or data setting, or a count argument."""
 
 
 class ParseError(ValueError):
-    """Malformed manifest or config file, or an input file that is not UTF-8 text."""
+    """A file's text is refused: a malformed manifest, checkpoint or config file, or one that is not UTF-8 text."""
 
 
 def text_lines(path):
     """The lines of the UTF-8 file at `path`, split as `str.splitlines` splits, read as they are consumed.
 
-    Undecodable bytes raise ParseError("<path>: not UTF-8 text (<reason>)").
+    A leading byte-order mark is dropped; undecodable bytes raise ParseError("<path>: not UTF-8 text (<reason>)").
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             for line in f:
                 yield from line.splitlines()
     except UnicodeDecodeError as exc:
@@ -181,13 +181,19 @@ def _normalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u / np.where(np.isinf(norms), np.nan, scale), norms
 
 
+def _rows(batch) -> np.ndarray:
+    """`batch` as a 2-D float64 array, a 1-D one as one row; any other shape is a ShapeError naming it."""
+    rows = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    if rows.ndim != 2:
+        raise ShapeError(f"expected a 2-D batch of rows, got shape {rows.shape}")
+    return rows
+
+
 def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
     """Map a (n, input_dim) batch to (n, embed_dim) embeddings."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    inputs = _rows(inputs)
     if inputs.shape[1] != net.config.input_dim:
-        raise ShapeError(
-            f"input dim {inputs.shape[1]} != config input_dim {net.config.input_dim}"
-        )
+        raise ShapeError(f"input dim {inputs.shape[1]} != config input_dim {net.config.input_dim}")
     h = _layers(net, inputs)[1][-1]
     return _normalize(h)[0] if net.config.normalize_output else h
 
@@ -199,8 +205,7 @@ def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray)
     of the output L2 normalization when it is enabled; near-zero
     pre-normalization outputs pass through as identity (matching forward's guard).
     """
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    grad_embeddings = np.atleast_2d(np.asarray(grad_embeddings, dtype=np.float64))
+    inputs, grad_embeddings = _rows(inputs), _rows(grad_embeddings)
     if inputs.shape[0] != grad_embeddings.shape[0]:
         raise ShapeError("batch size mismatch between inputs and gradients")
     if inputs.shape[1] != net.config.input_dim:
@@ -276,7 +281,7 @@ def _tensor_lines(config: NetConfig):
 def save_checkpoint(net: EmbeddingNet, path) -> None:
     """Write the network as the magic, one `key=value` line per CHECKPOINT_KEYS entry, then its tensor lines."""
     if not np.isfinite(net.params).all():
-        raise ConfigError("cannot save a network with non-finite parameters")
+        raise ParseError("cannot save a network with non-finite parameters")
     cfg = net.config
     values = (cfg.input_dim, ",".join(map(str, cfg.hidden_dims)), cfg.embed_dim, cfg.activation,
               "true" if cfg.normalize_output else "false")
@@ -292,14 +297,14 @@ def load_checkpoint(path) -> EmbeddingNet:
     """Read back the lines `save_checkpoint` writes, each one in its place; any other text is refused."""
     lines = list(text_lines(path))
     if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
+        raise ParseError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
 
     def line(n: int) -> str:
         return lines[n - 1] if n <= len(lines) else ""
 
     def refuse(n: int, expected: str) -> NoReturn:
         got = repr((line(n).split() or [""])[0]) if n <= len(lines) else "end of file"
-        raise ConfigError(f"{path}: line {n}: expected {expected}, got {got}")
+        raise ParseError(f"{path}: line {n}: expected {expected}, got {got}")
 
     values = []
     for n, key in enumerate(CHECKPOINT_KEYS, 2):
@@ -309,12 +314,12 @@ def load_checkpoint(path) -> EmbeddingNet:
         values.append(value)
     input_dim, hidden_dims, embed_dim, activation, normalize = values
     if normalize not in ("true", "false"):
-        raise ConfigError(f"{path}: normalize_output must be true or false, got {normalize!r}")
+        raise ParseError(f"{path}: normalize_output must be true or false, got {normalize!r}")
     try:
         config = NetConfig(parse_int(input_dim), parse_int_list(hidden_dims), parse_int(embed_dim), activation,
                            normalize == "true")
     except ValueError as exc:
-        raise ConfigError(f"{path}: bad checkpoint header: {exc}") from exc
+        raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
 
     parts = []
     for n, (name, shape) in enumerate(_tensor_lines(config), len(CHECKPOINT_KEYS) + 2):
@@ -325,11 +330,11 @@ def load_checkpoint(path) -> EmbeddingNet:
             dims = tuple(parse_int(v) for v in fields[: len(shape)])
             vals = np.array([float(v) for v in fields[len(shape) :]], dtype=np.float64)
         except ValueError as exc:
-            raise ConfigError(f"{path}: bad tensor line for {name}") from exc
+            raise ParseError(f"{path}: bad tensor line for {name}") from exc
         if len(dims) != len(shape) or min(dims) < 0 or vals.size != math.prod(dims):
-            raise ConfigError(f"{path}: bad tensor line for {name}")
+            raise ParseError(f"{path}: bad tensor line for {name}")
         if not np.isfinite(vals).all():
-            raise ConfigError(f"{path}: non-finite value in {name}")
+            raise ParseError(f"{path}: non-finite value in {name}")
         if dims != shape:
             raise ShapeError(f"{path}: {name} has shape {dims}, the header gives {shape}")
         parts.append(vals)

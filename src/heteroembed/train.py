@@ -71,7 +71,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.loss_mode not in ("hetero", "triplet_baseline"):
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
+            raise ConfigError(f"unknown loss_mode {self.loss_mode!r}")
         check_field("epochs", self.epochs, 0)
         check_field("tuples_per_epoch", self.tuples_per_epoch, 1)
         check_field("batch_size", self.batch_size, 1)

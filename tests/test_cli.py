@@ -78,6 +78,14 @@ class TestConfigParsing:
         with pytest.raises(ParseError):
             parse_config_file(path)
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # a byte-order mark that starts the file is no text; one anywhere else is part of its line
+        text = "synth.n_identities=6\n\ufeffseed=1\n"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        plain = write(tmp_path / "plain.cfg", text)
+        assert parse_config_file(bom) == parse_config_file(plain) == {"synth.n_identities": "6", "\ufeffseed": "1"}
+
     @pytest.mark.parametrize("value", ["false", "0", "NO"])
     def test_normalize_output_false(self, value):
         assert run_config_from({"net.normalize_output": value}, 4)[0].net.normalize_output is False
@@ -688,16 +696,16 @@ def reference_objects(text, command):
                 return None
             pairs[key.strip()] = value.strip()
     if command == "compare":
-        pairs = {k: v for k, v in pairs.items() if not k.startswith("synth.")}
         kwargs = {"net": {"hidden_dims": (32,)}, "margins": {}, "tuple": {}, "train": {}, "split": {}}
     else:
         kwargs = {"synth": {}, "shift": {}}
     try:
         for key, value in pairs.items():
-            group, name, kind = REFERENCE_KEYS.get(key, ("unknown", None, None))
-            if group not in kwargs:
+            if key not in REFERENCE_KEYS:
                 return None
-            kwargs[group][name] = REFERENCE_VALUES[kind](value)
+            group, name, kind = REFERENCE_KEYS[key]
+            if group in kwargs:  # the other command's keys are skipped, their values unread
+                kwargs[group][name] = REFERENCE_VALUES[kind](value)
         if command == "synth":
             return repr(SynthConfig(domain_shift=DomainShift(**kwargs["shift"]), **kwargs["synth"]))
         config = TrainConfig(
@@ -863,6 +871,66 @@ class TestMissingConfig:
         assert not (tmp_path / "out").exists()
 
 
+class TestOneConfigFile:
+    """One config file serves all four commands: each parses its own keys and skips the other
+    command's unparsed; any other key is refused, and the first bad key or value in the file is reported."""
+
+    def test_every_command_reads_the_whole_file(self, tmp_path, monkeypatch):
+        # each command's outputs are those its own keys alone give; a leading byte-order mark is dropped
+        whole = tmp_path / "whole.cfg"
+        whole.write_bytes(b"\xef\xbb\xbf" + (SMALL_RUN + SMALL_SYNTH).encode("utf-8"))
+        own = write(tmp_path / "synth.cfg", SMALL_SYNTH), write(tmp_path / "run.cfg", SMALL_RUN)
+        results = []
+        for name, (synth_cfg, run_cfg) in (("whole", (whole, whole)), ("own", own)):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # relative paths: train prints the paths it writes
+            results.append([
+                run_main(["synth", "--config", synth_cfg, "--out", "d.hem"]),
+                run_main(["train", "--config", run_cfg, "--data", "d.hem", "--out", "n.ckpt"]),
+                run_main(["eval", "--checkpoint", "n.ckpt", "--config", run_cfg, "--data", "d.hem"]),
+                run_main(["compare", "--config", run_cfg, "--data", "d.hem"]),
+                *(Path(f).read_bytes() for f in ("d.hem", "n.ckpt", "n.ckpt.log.csv")),
+            ])
+        assert [code for code, _, _ in results[0][:4]] == [0, 0, 0, 0]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["train --config {cfg} --data {data} --out {tmp}/out",
+         "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {tmp}/out",
+         "compare --config {cfg} --data {data}"],
+    )
+    def test_unknown_synth_key_refused_before_work(self, tmp_path, small_manifest, monkeypatch, argv):
+        for name in ("train", "evaluate_enroll_probe"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        cfg = write(tmp_path / "run.cfg", SMALL_RUN + "synth.bogus=1\n")
+        code, out, err = run_main(argv.format(cfg=cfg, data=small_manifest, ckpt=ckpt, tmp=tmp_path).split())
+        assert (code, out, err) == (2, "", "error: unknown config key 'synth.bogus'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,lines,message",
+        [("train", ["bogus=1", "tuple.k=+4"], "unknown config key 'bogus'"),
+         ("train", ["tuple.k=+4", "bogus=1"], "config key 'tuple.k': bad value '+4'"),
+         ("train", ["epochs=-1", "bogus=1"], "unknown config key 'bogus'"),  # a dataclass refusal comes last
+         ("synth", ["bogus=1", "synth.seed=+4"], "unknown config key 'bogus'"),
+         ("synth", ["synth.seed=+4", "bogus=1"], "config key 'synth.seed': bad value '+4'")],
+    )
+    def test_first_fault_in_file_order_reported(self, tmp_path, small_manifest, monkeypatch, command, lines, message):
+        for name in ("train", "generate_synthetic"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        cfg = write(tmp_path / "c.cfg", "".join(line + "\n" for line in lines))
+        data = ["--data", small_manifest] if command == "train" else []
+        code, out, err = run_main([command, "--config", cfg, *data, "--out", tmp_path / "out"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_other_commands_values_skipped_unparsed(self):
+        assert synth_config_from({"net.embed_dim": "x", "seed": "-"}) == synth_config_from({})
+        assert run_config_from({"synth.feature_dim": "x"}, 4) == run_config_from({}, 4)
+
+
 class TestCollidingPaths:
     """An output that resolves to an input or to another output: exit 2, one error line, nothing written."""
 
@@ -977,8 +1045,7 @@ def test_readme_config_block_matches_cli_defaults(tmp_path):
     cfg = parse_config_file(write(tmp_path / "readme.cfg", block))
     assert sorted(cfg) == sorted({**RUN_KEYS, **SYNTH_KEYS})
     assert run_config_from(cfg, 16) == run_config_from({}, 16)
-    synth_lines = {key: value for key, value in cfg.items() if key.startswith("synth.")}
-    assert synth_config_from(synth_lines) == synth_config_from({})
+    assert synth_config_from(cfg) == synth_config_from({})
 
 
 class TestAsAProcess:

@@ -153,3 +153,9 @@ def test_normalize_output_must_be_a_bool(value):
 @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
 def test_bool_normalize_output_passes(value):
     assert NetConfig(input_dim=2, normalize_output=value).normalize_output == value
+
+
+def test_unknown_loss_mode_refused():
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(net=NET, loss_mode="x")
+    assert str(info.value) == "unknown loss_mode 'x'"

@@ -255,6 +255,14 @@ class TestLoadManifest:
         with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text (invalid start byte)")):
             load_manifest(path)
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # a byte-order mark that starts the file is no text; one anywhere else is part of its line
+        plain = write_manifest(tmp_path, ["s1,A,1 2 3", "\ufeffs2,B,4 5 6"])
+        bom = tmp_path / "bom.hem"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert_same_dataset(load_manifest(bom), load_manifest(plain))
+        assert load_manifest(bom).samples[1].identity == "\ufeffs2"
+
     def test_round_trip_bytes(self, tmp_path):
         ds = generate_synthetic(SynthConfig(n_identities=3, samples_per_identity_per_domain=2, seed=1))
         p1 = tmp_path / "a.hem"

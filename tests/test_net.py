@@ -11,6 +11,7 @@ from heteroembed.net import (
     ConfigError,
     EmbeddingNet,
     NetConfig,
+    ParseError,
     ShapeError,
     adam_step,
     backward,
@@ -118,6 +119,13 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_batch(net, np.zeros((1, 3)))
 
+    def test_batch_that_is_not_2d_refused(self):
+        # a (2, 3, 3) array has input_dim columns along axis 1, but it is no batch of rows
+        net = init_net(NetConfig(input_dim=3, hidden_dims=(4,), embed_dim=2), 0)
+        with pytest.raises(ShapeError) as info:
+            forward_batch(net, np.ones((2, 3, 3)))
+        assert str(info.value) == "expected a 2-D batch of rows, got shape (2, 3, 3)"
+
     def test_norm_invariant(self):
         cfg = NetConfig(input_dim=4, hidden_dims=(6,), embed_dim=3, normalize_output=True)
         net = init_net(cfg, 1)
@@ -181,7 +189,9 @@ class TestBackward:
         "inputs,grads,message",
         [((3, 3), (2, 2), "batch size mismatch between inputs and gradients"),
          ((2, 4), (2, 2), "input dim mismatch"),
-         ((2, 3), (2, 3), "gradient dim mismatch")],
+         ((2, 3), (2, 3), "gradient dim mismatch"),
+         ((2, 3, 3), (2, 2), "expected a 2-D batch of rows, got shape (2, 3, 3)"),
+         ((2, 3), (2, 2, 2), "expected a 2-D batch of rows, got shape (2, 2, 2)")],
     )
     def test_shape_mismatch_refused(self, inputs, grads, message):
         net = init_net(NetConfig(input_dim=3, hidden_dims=(4,), embed_dim=2), 0)
@@ -341,10 +351,19 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        net = init_net(NetConfig(input_dim=2, hidden_dims=(3,), embed_dim=2), 4)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        loaded = load_checkpoint(path)
+        assert loaded.config == net.config
+        assert np.array_equal(loaded.params, net.params)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("NOT-A-CHECKPOINT\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParseError):
             load_checkpoint(path)
 
     def test_non_finite_value_rejected_on_read_and_write(self, tmp_path):
@@ -357,10 +376,10 @@ class TestCheckpoint:
             name, rows, cols, first, *rest = lines[-2].split()
             lines[-2] = " ".join([name, rows, cols, bad, *rest])
             path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(ConfigError, match="non-finite"):
+            with pytest.raises(ParseError, match="non-finite"):
                 load_checkpoint(path)
         net.biases[0][1] = np.nan
-        with pytest.raises(ConfigError, match="non-finite"):
+        with pytest.raises(ParseError, match="non-finite"):
             save_checkpoint(net, tmp_path / "nan.ckpt")
         assert not (tmp_path / "nan.ckpt").exists()
 
@@ -378,7 +397,7 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         lines.insert(line, lines[line])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError) as info:
+        with pytest.raises(ParseError) as info:
             load_checkpoint(path)
         assert str(info.value) == f"{path}: {message}"
 
@@ -396,7 +415,7 @@ class TestCheckpoint:
             else:
                 edited.insert(i, "")
             path.write_text("\n".join(edited) + "\n")
-            with pytest.raises(ConfigError) as info:
+            with pytest.raises(ParseError) as info:
                 load_checkpoint(path)
             assert str(info.value).startswith(f"{path}: line {i + 1}: expected "), (i, str(info.value))
 
@@ -451,6 +470,6 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         assert [l.split()[0] for l in lines[6:]] == ["layer0.weight", "layer0.bias"]
         path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(ConfigError, match=message) as info:
+        with pytest.raises(ParseError, match=message) as info:
             load_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
