@@ -1,14 +1,7 @@
 """Heterogeneity-aware metric learning on (identity, domain)-labeled features."""
 
 from .data import Dataset, Sample, SynthConfig, generate_synthetic, load_manifest
-from .loss import (
-    EmbeddingTuple,
-    Margins,
-    hetero_loss,
-    hetero_loss_grad,
-    triplet_loss,
-    triplet_loss_grad,
-)
+from .loss import EmbeddingTuple, Margins, hetero_loss_grad, triplet_loss_grad
 from .net import AdamState, EmbeddingNet, NetConfig, init_net
 from .sampler import TupleSpec, build_index
 from .train import TrainConfig, train
@@ -26,11 +19,9 @@ __all__ = [
     "TupleSpec",
     "build_index",
     "generate_synthetic",
-    "hetero_loss",
     "hetero_loss_grad",
     "init_net",
     "load_manifest",
     "train",
-    "triplet_loss",
     "triplet_loss_grad",
 ]

@@ -59,8 +59,9 @@ EXIT_SHAPE = 5
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read flat key=value config text into a dict."""
+    """Read flat key=value config text into a dict, in file order; a key may appear once."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -68,7 +69,11 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ParseError(f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        out[key] = val.strip()
     return out
 
 

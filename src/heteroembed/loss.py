@@ -1,10 +1,10 @@
-"""Margin losses over embedding tuples.
+"""Margin losses over embedding tuples: one function per loss, returning its value and gradients.
 
-Implements the vanilla triplet loss, its mean-negative variant, the
-within-domain and cross-domain terms, their sum, and analytic
-subgradients with respect to every participating embedding. Distances
-are squared Euclidean throughout; each hinge is clipped to 0
-independently and contributes gradient only when strictly active.
+`hetero_loss_grad` sums the within-domain term L1 and the cross-domain term
+L2, each measured against a mean negative; `triplet_loss_grad` is the
+single-negative baseline. Distances are squared Euclidean throughout; each
+hinge is clipped to 0 independently and contributes gradient only when
+strictly active.
 
 Inputs may carry leading batch dimensions: vectors (..., D), negative
 sets (..., K, D) or lists of K vectors; values and gradients then come
@@ -39,7 +39,8 @@ class EmbeddingTuple:
     All negatives come from a single negative identity (enforced by the
     sampler, not here). In a batch whose tuples have fewer negatives than
     the sets' K, `n_same`/`n_cross` (batch-shaped ints) count the leading
-    negatives in use; None means all K.
+    negatives in use; None means all K. A loss returns its gradients in the
+    same layout, each in the field of the embedding it belongs to.
     """
 
     anchor: np.ndarray
@@ -56,15 +57,6 @@ class LossValue:
     l1: np.ndarray
     l2: np.ndarray
     total: np.ndarray
-
-
-@dataclass
-class LossGrad:
-    d_anchor: np.ndarray
-    d_pos_same: np.ndarray
-    d_pos_cross: np.ndarray
-    d_negs_same: np.ndarray
-    d_negs_cross: np.ndarray
 
 
 def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -130,11 +122,6 @@ def _hinge(anchor, pos, negs, count, alpha: float):
     return loss, d_anchor, d_pos, d_negs
 
 
-def triplet_loss(anchor, positive, negative, alpha: float):
-    """max(0, d2(a,p) - d2(a,n) + alpha) with squared Euclidean d2."""
-    return triplet_loss_grad(anchor, positive, negative, alpha)[0]
-
-
 def triplet_loss_grad(anchor, positive, negative, alpha: float):
     """Loss and subgradients (val, d_a, d_p, d_n) of the single-negative baseline."""
     negs = np.asarray(negative)[..., None, :]
@@ -142,23 +129,10 @@ def triplet_loss_grad(anchor, positive, negative, alpha: float):
     return val, d_a, d_p, d_negs[..., 0, :]
 
 
-def loss_l1(tup: EmbeddingTuple, alpha1: float):
-    """Within-domain term: anchor vs same-domain positive vs mean same-domain negative."""
-    return _hinge(tup.anchor, tup.pos_same, tup.negs_same, tup.n_same, alpha1)[0]
-
-
-def loss_l2(tup: EmbeddingTuple, alpha2: float):
-    """Cross-domain term: anchor vs cross-domain positive vs mean cross-domain negative."""
-    return _hinge(tup.anchor, tup.pos_cross, tup.negs_cross, tup.n_cross, alpha2)[0]
-
-
-def hetero_loss(tup: EmbeddingTuple, margins: Margins) -> LossValue:
-    """Both hinge terms, clipped independently, and their sum."""
-    return hetero_loss_grad(tup, margins)[0]
-
-
-def hetero_loss_grad(tup: EmbeddingTuple, margins: Margins) -> tuple[LossValue, LossGrad]:
-    """Loss plus analytic subgradients w.r.t. every embedding in the tuple."""
+def hetero_loss_grad(tup: EmbeddingTuple, margins: Margins) -> tuple[LossValue, EmbeddingTuple]:
+    """L1, the within-domain term (anchor vs same-domain positive vs mean same-domain negative),
+    L2, the cross-domain term (anchor vs cross-domain positive vs mean cross-domain negative),
+    and their sum; and the subgradients w.r.t. every embedding, as an EmbeddingTuple."""
     l1, d_a1, d_pos_same, d_negs_same = _hinge(
         tup.anchor, tup.pos_same, tup.negs_same, tup.n_same, margins.alpha1
     )
@@ -166,5 +140,6 @@ def hetero_loss_grad(tup: EmbeddingTuple, margins: Margins) -> tuple[LossValue, 
         tup.anchor, tup.pos_cross, tup.negs_cross, tup.n_cross, margins.alpha2
     )
     value = LossValue(l1=l1, l2=l2, total=l1 + l2)
-    grad = LossGrad(d_a1 + d_a2, d_pos_same, d_pos_cross, d_negs_same, d_negs_cross)
+    grad = EmbeddingTuple(d_a1 + d_a2, d_pos_same, d_pos_cross, d_negs_same, d_negs_cross,
+                          tup.n_same, tup.n_cross)
     return value, grad

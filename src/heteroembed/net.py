@@ -181,19 +181,20 @@ def _normalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u / np.where(np.isinf(norms), np.nan, scale), norms
 
 
-def _rows(batch) -> np.ndarray:
-    """`batch` as a 2-D float64 array, a 1-D one as one row; any other shape is a ShapeError naming it."""
+def _rows(batch, kind: str, field: str, width: int) -> np.ndarray:
+    """`batch` as 2-D float64 rows, a 1-D one as one row; a ShapeError names any other shape,
+    or a width other than `width`, which the config's `field` sets for this `kind` of rows."""
     rows = np.atleast_2d(np.asarray(batch, dtype=np.float64))
     if rows.ndim != 2:
         raise ShapeError(f"expected a 2-D batch of rows, got shape {rows.shape}")
+    if rows.shape[1] != width:
+        raise ShapeError(f"{kind} dim {rows.shape[1]} != config {field} {width}")
     return rows
 
 
 def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
     """Map a (n, input_dim) batch to (n, embed_dim) embeddings."""
-    inputs = _rows(inputs)
-    if inputs.shape[1] != net.config.input_dim:
-        raise ShapeError(f"input dim {inputs.shape[1]} != config input_dim {net.config.input_dim}")
+    inputs = _rows(inputs, "input", "input_dim", net.config.input_dim)
     h = _layers(net, inputs)[1][-1]
     return _normalize(h)[0] if net.config.normalize_output else h
 
@@ -205,13 +206,10 @@ def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray)
     of the output L2 normalization when it is enabled; near-zero
     pre-normalization outputs pass through as identity (matching forward's guard).
     """
-    inputs, grad_embeddings = _rows(inputs), _rows(grad_embeddings)
+    inputs = _rows(inputs, "input", "input_dim", net.config.input_dim)
+    grad_embeddings = _rows(grad_embeddings, "gradient", "embed_dim", net.config.embed_dim)
     if inputs.shape[0] != grad_embeddings.shape[0]:
         raise ShapeError("batch size mismatch between inputs and gradients")
-    if inputs.shape[1] != net.config.input_dim:
-        raise ShapeError("input dim mismatch")
-    if grad_embeddings.shape[1] != net.config.embed_dim:
-        raise ShapeError("gradient dim mismatch")
 
     acts, pre = _layers(net, inputs)
     weights = net.weights

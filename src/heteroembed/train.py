@@ -126,8 +126,8 @@ def _batch_step(
         emb = EmbeddingTuple(E[:, 0], E[:, 1], E[:, 2], E[:, same], E[:, cross], n_same, n_cross)
         val, g = hetero_loss_grad(emb, margins)
         l1, l2 = val.l1, val.l2
-        G[:, 0], G[:, 1], G[:, 2] = g.d_anchor, g.d_pos_same, g.d_pos_cross
-        G[:, same], G[:, cross] = g.d_negs_same, g.d_negs_cross
+        G[:, 0], G[:, 1], G[:, 2] = g.anchor, g.pos_same, g.pos_cross
+        G[:, same], G[:, cross] = g.negs_same, g.negs_cross
 
     scale = 1.0 / len(batch)  # batch reduction: mean over tuples
     grad = backward(net, X, scale * G[in_use])

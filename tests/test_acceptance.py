@@ -18,11 +18,9 @@ from heteroembed.data import (
 from heteroembed.loss import (
     EmbeddingTuple,
     Margins,
-    hetero_loss,
     hetero_loss_grad,
-    loss_l1,
     mean_embedding,
-    triplet_loss,
+    triplet_loss_grad,
 )
 from heteroembed.metrics import ScoreSet, eer, gar_at_far, identify, roc
 from heteroembed.net import NetConfig, load_checkpoint, save_checkpoint
@@ -83,16 +81,16 @@ def test_criterion_1_gradient_correctness():
         checked += 1
         _, grad = hetero_loss_grad(tup, margins)
         vecs = [tup.anchor, tup.pos_same, tup.pos_cross, *tup.negs_same, *tup.negs_cross]
-        grads = [grad.d_anchor, grad.d_pos_same, grad.d_pos_cross,
-                 *grad.d_negs_same, *grad.d_negs_cross]
+        grads = [grad.anchor, grad.pos_same, grad.pos_cross,
+                 *grad.negs_same, *grad.negs_cross]
         h = 1e-5
         for vec, g in zip(vecs, grads):
             for i in range(dim):
                 old = vec[i]
                 vec[i] = old + h
-                f_plus = hetero_loss(tup, margins).total
+                f_plus = hetero_loss_grad(tup, margins)[0].total
                 vec[i] = old - h
-                f_minus = hetero_loss(tup, margins).total
+                f_minus = hetero_loss_grad(tup, margins)[0].total
                 vec[i] = old
                 fd = (f_plus - f_minus) / (2 * h)
                 if abs(fd - g[i]) > 1e-4 * max(1.0, abs(fd)):
@@ -108,10 +106,11 @@ def test_criterion_2_reduction_oracle():
         dim = int(rng.integers(1, 7))
         a, p, n = rng.standard_normal((3, dim))
         tup = EmbeddingTuple(a, p, p.copy(), [n], [n.copy()])
-        if abs(loss_l1(tup, 0.4) - triplet_loss(a, p, n, 0.4)) > 1e-12:
+        l1 = hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l1
+        if abs(l1 - triplet_loss_grad(a, p, n, 0.4)[0]) > 1e-12:
             ok = False
-        total = hetero_loss(tup, Margins(0.4, 0.25)).total
-        two = triplet_loss(a, p, n, 0.4) + triplet_loss(a, p, n, 0.25)
+        total = hetero_loss_grad(tup, Margins(0.4, 0.25))[0].total
+        two = triplet_loss_grad(a, p, n, 0.4)[0] + triplet_loss_grad(a, p, n, 0.25)[0]
         if abs(total - two) > 1e-12:
             ok = False
     report(2, "reduction to triplet loss", ok)
@@ -121,7 +120,7 @@ def test_criterion_3_loss_identities():
     ok = True
     z = np.zeros(3)
     coincident = EmbeddingTuple(z, z.copy(), z.copy(), [z.copy(), z.copy()], [z.copy()])
-    ok &= hetero_loss(coincident, Margins(0.4, 0.4)).total == 0.8
+    ok &= hetero_loss_grad(coincident, Margins(0.4, 0.4))[0].total == 0.8
 
     rng = np.random.default_rng(103)
     for _ in range(100):
@@ -131,8 +130,8 @@ def test_criterion_3_loss_identities():
             tup.anchor + c, tup.pos_same + c, tup.pos_cross + c,
             [v + c for v in tup.negs_same], [v + c for v in tup.negs_cross],
         )
-        before = hetero_loss(tup, Margins()).total
-        after = hetero_loss(shifted, Margins()).total
+        before = hetero_loss_grad(tup, Margins())[0].total
+        after = hetero_loss_grad(shifted, Margins())[0].total
         ok &= abs(before - after) < 1e-9
 
         perm = rng.permutation(len(tup.negs_same))
@@ -140,7 +139,7 @@ def test_criterion_3_loss_identities():
             tup.anchor, tup.pos_same, tup.pos_cross,
             [tup.negs_same[i] for i in perm], list(reversed(tup.negs_cross)),
         )
-        ok &= hetero_loss(permuted, Margins()).total == before
+        ok &= hetero_loss_grad(permuted, Margins())[0].total == before
     report(3, "loss identities", ok)
 
 

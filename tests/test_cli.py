@@ -39,6 +39,12 @@ def write(path, text):
     return str(path)
 
 
+def replacing(base, line):
+    """Config text `base` with `line` last, in place of any line that sets the same key."""
+    key = line.partition("=")[0]
+    return "".join(kept + "\n" for kept in base.splitlines() if kept.partition("=")[0] != key) + line + "\n"
+
+
 SMALL_SYNTH = """\
 synth.n_identities=6
 synth.samples_per_identity_per_domain=5
@@ -144,7 +150,7 @@ class TestRefusedBeforeTraining:
     )
     def test_config_value(self, tmp_path, small_manifest, monkeypatch, line):
         monkeypatch.setattr("heteroembed.cli.train", lambda *a, **k: pytest.fail("trained"))
-        cfg = write(tmp_path / "run.cfg", SMALL_RUN + line + "\n")
+        cfg = write(tmp_path / "run.cfg", replacing(SMALL_RUN, line))
         code, out, err = run_main(["train", "--config", cfg, "--data", small_manifest, "--out", tmp_path / "n.ckpt"])
         assert code == 2
         assert_one_outcome(code, out, err)
@@ -168,7 +174,7 @@ class TestRefusedBeforeTraining:
     def test_negative_seed_key(self, tmp_path, small_manifest, monkeypatch, argv, key):
         for name in ("generate_synthetic", "train", "run_compare"):
             monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
-        cfg = write(tmp_path / "run.cfg", SMALL_RUN + f"{key}=-4\n")
+        cfg = write(tmp_path / "run.cfg", replacing(SMALL_RUN, f"{key}=-4"))
         code, out, err = run_main(argv.format(tmp=tmp_path, cfg=cfg, data=small_manifest).split())
         assert (code, out, err) == (2, "", "error: seed must be >= 0, got -4\n")
         assert not (tmp_path / "d.hem").exists() and not (tmp_path / "n.ckpt").exists()
@@ -692,7 +698,7 @@ def reference_objects(text, command):
         line = line.strip()
         if line and not line.startswith("#"):
             key, sep, value = line.partition("=")
-            if not sep:
+            if not sep or key.strip() in pairs:
                 return None
             pairs[key.strip()] = value.strip()
     if command == "compare":
@@ -925,6 +931,30 @@ class TestOneConfigFile:
         data = ["--data", small_manifest] if command == "train" else []
         code, out, err = run_main([command, "--config", cfg, *data, "--out", tmp_path / "out"])
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["synth --config {cfg} --out {tmp}/out",
+         "train --config {cfg} --data {data} --out {tmp}/out",
+         "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {tmp}/out",
+         "compare --config {cfg} --data {data}"],
+    )
+    @pytest.mark.parametrize(
+        "lines,message",
+        [(["epochs=x", "epochs=1"], "2: config key 'epochs' repeats line 1"),
+         (["tuple.k=0", "tuple.k=2"], "2: config key 'tuple.k' repeats line 1"),
+         (["synth.seed=1", "# synth.seed=3", " synth.seed = 2"], "3: config key 'synth.seed' repeats line 1")],
+    )
+    def test_repeated_key_refused_before_work(self, tmp_path, small_manifest, monkeypatch, argv, lines, message):
+        # every command refuses it, whichever command's key it is and whether its first value is good
+        for name in ("generate_synthetic", "train", "evaluate_enroll_probe", "run_compare"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        cfg = write(tmp_path / "r.cfg", "".join(line + "\n" for line in lines))
+        code, out, err = run_main(argv.format(cfg=cfg, data=small_manifest, ckpt=ckpt, tmp=tmp_path).split())
+        assert (code, out, err) == (2, "", f"error: {cfg}:{message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_other_commands_values_skipped_unparsed(self):
         assert synth_config_from({"net.embed_dim": "x", "seed": "-"}) == synth_config_from({})

@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 from heteroembed.loss import (
     EmbeddingTuple,
     Margins,
-    hetero_loss,
     hetero_loss_grad,
-    loss_l1,
-    loss_l2,
     mean_embedding,
-    triplet_loss,
     triplet_loss_grad,
 )
 from heteroembed.net import ShapeError
@@ -36,18 +32,18 @@ def random_tuple(rng, dim, k1, k2, scale=1.0):
 
 class TestTripletLoss:
     def test_separated_clips_to_zero(self):
-        assert triplet_loss(v(0, 0), v(0, 0), v(1, 0), 0.4) == 0.0
+        assert triplet_loss_grad(v(0, 0), v(0, 0), v(1, 0), 0.4)[0] == 0.0
 
     def test_all_coincident(self):
-        assert triplet_loss(v(0, 0), v(0, 0), v(0, 0), 0.4) == pytest.approx(0.4)
+        assert triplet_loss_grad(v(0, 0), v(0, 0), v(0, 0), 0.4)[0] == pytest.approx(0.4)
 
     def test_scalar_case(self):
         # d2(a,p)=0.25, d2(a,n)=0.36 -> max(0, 0.25-0.36+0.4)
-        assert triplet_loss(v(0.0), v(0.5), v(0.6), 0.4) == pytest.approx(0.29)
+        assert triplet_loss_grad(v(0.0), v(0.5), v(0.6), 0.4)[0] == pytest.approx(0.29)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            triplet_loss(v(0, 0), v(0, 0, 0), v(0, 0), 0.4)
+            triplet_loss_grad(v(0, 0), v(0, 0, 0), v(0, 0), 0.4)
 
 
 class TestMeanEmbedding:
@@ -86,51 +82,53 @@ class TestMeanEmbedding:
 class TestHingeTerms:
     def test_l1_separated(self):
         tup = EmbeddingTuple(v(0, 0), v(0, 0), v(0, 0), [v(1, 0)], [v(1, 0)])
-        assert loss_l1(tup, 0.4) == 0.0
+        assert hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l1 == 0.0
 
     def test_l1_scalar(self):
         tup = EmbeddingTuple(v(0.0), v(0.5), v(0.0), [v(0.5), v(0.7)], [v(0.0)])
-        assert loss_l1(tup, 0.4) == pytest.approx(0.29)
+        assert hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l1 == pytest.approx(0.29)
 
     def test_l1_negative_order_irrelevant(self):
         a = EmbeddingTuple(v(0.2, 0.1), v(0.3, 0), v(0, 0), [v(1, 0), v(0, 1)], [v(1, 1)])
         b = EmbeddingTuple(v(0.2, 0.1), v(0.3, 0), v(0, 0), [v(0, 1), v(1, 0)], [v(1, 1)])
-        assert loss_l1(a, 0.4) == loss_l1(b, 0.4)
+        margins = Margins(0.4, 0.4)
+        assert hetero_loss_grad(a, margins)[0].l1 == hetero_loss_grad(b, margins)[0].l1
 
     def test_l2_separated(self):
         tup = EmbeddingTuple(v(0, 0), v(0, 0), v(0, 0), [v(1, 0)], [v(0, 1)])
-        assert loss_l2(tup, 0.4) == 0.0
+        assert hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l2 == 0.0
 
     def test_l2_scalar(self):
         tup = EmbeddingTuple(v(0.0), v(0.0), v(0.4), [v(0.0)], [v(0.6), v(0.8)])
-        assert loss_l2(tup, 0.4) == pytest.approx(0.07)
+        assert hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l2 == pytest.approx(0.07)
 
     def test_l2_identical_negatives_match_single(self):
         single = EmbeddingTuple(v(0.1, 0.2), v(0, 0), v(0.3, 0), [v(1, 1)], [v(0.9, 0.4)])
         many = EmbeddingTuple(
             v(0.1, 0.2), v(0, 0), v(0.3, 0), [v(1, 1)], [v(0.9, 0.4)] * 5
         )
-        assert loss_l2(single, 0.4) == pytest.approx(loss_l2(many, 0.4))
+        margins = Margins(0.4, 0.4)
+        assert hetero_loss_grad(single, margins)[0].l2 == pytest.approx(hetero_loss_grad(many, margins)[0].l2)
 
 
 class TestHeteroLoss:
     def test_all_coincident(self):
         z = v(0, 0)
         tup = EmbeddingTuple(z, z, z, [z], [z])
-        val = hetero_loss(tup, Margins(0.4, 0.4))
+        val = hetero_loss_grad(tup, Margins(0.4, 0.4))[0]
         assert val.l1 == pytest.approx(0.4)
         assert val.l2 == pytest.approx(0.4)
         assert val.total == pytest.approx(0.8)
 
     def test_scalar_sum(self):
         tup = EmbeddingTuple(v(0.0), v(0.5), v(0.4), [v(0.5), v(0.7)], [v(0.6), v(0.8)])
-        val = hetero_loss(tup, Margins(0.4, 0.4))
+        val = hetero_loss_grad(tup, Margins(0.4, 0.4))[0]
         assert val.total == pytest.approx(0.36)
 
     def test_well_separated_inactive(self):
         a = v(0, 0)
         tup = EmbeddingTuple(a, a, a, [v(2, 0)], [v(0, 2)])
-        val = hetero_loss(tup, Margins(0.4, 0.4))
+        val = hetero_loss_grad(tup, Margins(0.4, 0.4))[0]
         assert val.total == 0.0
         assert not val.l1 > 0 and not val.l2 > 0
 
@@ -140,7 +138,7 @@ class TestHeteroLoss:
             tup = random_tuple(rng, 4, 3, 2)
             prev = -1.0
             for alpha in (0.0, 0.2, 0.4, 0.8):
-                total = hetero_loss(tup, Margins(alpha, alpha)).total
+                total = hetero_loss_grad(tup, Margins(alpha, alpha))[0].total
                 assert total >= prev
                 prev = total
 
@@ -149,10 +147,10 @@ class TestHeteroLoss:
         for _ in range(200):
             a, p, n = rng.standard_normal((3, 5))
             tup = EmbeddingTuple(a, p, p.copy(), [n], [n.copy()])
-            l1 = loss_l1(tup, 0.4)
-            assert l1 == pytest.approx(triplet_loss(a, p, n, 0.4), abs=1e-12)
-            total = hetero_loss(tup, Margins(0.4, 0.3)).total
-            two_terms = triplet_loss(a, p, n, 0.4) + triplet_loss(a, p, n, 0.3)
+            l1 = hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l1
+            assert l1 == pytest.approx(triplet_loss_grad(a, p, n, 0.4)[0], abs=1e-12)
+            total = hetero_loss_grad(tup, Margins(0.4, 0.3))[0].total
+            two_terms = triplet_loss_grad(a, p, n, 0.4)[0] + triplet_loss_grad(a, p, n, 0.3)[0]
             assert total == pytest.approx(two_terms, abs=1e-12)
 
 
@@ -169,8 +167,8 @@ def test_translation_invariance(seed, k1, k2):
         negs_same=[n + c for n in tup.negs_same],
         negs_cross=[n + c for n in tup.negs_cross],
     )
-    before = hetero_loss(tup, Margins()).total
-    after = hetero_loss(shifted, Margins()).total
+    before = hetero_loss_grad(tup, Margins())[0].total
+    after = hetero_loss_grad(shifted, Margins())[0].total
     assert after == pytest.approx(before, abs=1e-9)
 
 
@@ -187,11 +185,11 @@ def test_negative_permutation_invariance(seed, k):
         negs_same=[tup.negs_same[i] for i in perm],
         negs_cross=[tup.negs_cross[i] for i in perm],
     )
-    assert hetero_loss(permuted, Margins()).total == hetero_loss(tup, Margins()).total
-    _, ga = hetero_loss_grad(tup, Margins())
-    _, gb = hetero_loss_grad(permuted, Margins())
+    va, ga = hetero_loss_grad(tup, Margins())
+    vb, gb = hetero_loss_grad(permuted, Margins())
+    assert vb.total == va.total
     for i, j in enumerate(perm):
-        np.testing.assert_array_equal(gb.d_negs_same[i], ga.d_negs_same[j])
+        np.testing.assert_array_equal(gb.negs_same[i], ga.negs_same[j])
 
 
 class TestGradients:
@@ -200,8 +198,8 @@ class TestGradients:
         tup = EmbeddingTuple(a, a, a, [v(2, 0)], [v(0, 2)])
         val, grad = hetero_loss_grad(tup, Margins())
         assert val.total == 0.0
-        for g in [grad.d_anchor, grad.d_pos_same, grad.d_pos_cross,
-                  *grad.d_negs_same, *grad.d_negs_cross]:
+        for g in [grad.anchor, grad.pos_same, grad.pos_cross,
+                  *grad.negs_same, *grad.negs_cross]:
             assert np.all(g == 0.0)
 
     def test_coincident_distance_terms_cancel(self):
@@ -209,9 +207,9 @@ class TestGradients:
         tup = EmbeddingTuple(z, z, z, [z, z], [z])
         val, grad = hetero_loss_grad(tup, Margins())
         assert val.total == pytest.approx(0.8)
-        np.testing.assert_array_equal(grad.d_anchor, z)
-        np.testing.assert_array_equal(grad.d_pos_same, z)
-        np.testing.assert_array_equal(grad.d_pos_cross, z)
+        np.testing.assert_array_equal(grad.anchor, z)
+        np.testing.assert_array_equal(grad.pos_same, z)
+        np.testing.assert_array_equal(grad.pos_cross, z)
 
     def test_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -220,7 +218,7 @@ class TestGradients:
             dim = int(rng.integers(1, 9))
             tup = random_tuple(rng, dim, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
             margins = Margins(0.4, 0.4)
-            val = hetero_loss(tup, margins)
+            val = hetero_loss_grad(tup, margins)[0]
             # stay away from hinge kinks where the subgradient is one-sided
             arg1 = val.l1 if val.l1 > 0 else loss_arg(tup, margins, 1)
             arg2 = val.l2 if val.l2 > 0 else loss_arg(tup, margins, 2)
@@ -228,8 +226,8 @@ class TestGradients:
                 continue
             checked += 1
             _, grad = hetero_loss_grad(tup, margins)
-            flat_grads = [grad.d_anchor, grad.d_pos_same, grad.d_pos_cross,
-                          *grad.d_negs_same, *grad.d_negs_cross]
+            flat_grads = [grad.anchor, grad.pos_same, grad.pos_cross,
+                          *grad.negs_same, *grad.negs_cross]
             vecs = [tup.anchor, tup.pos_same, tup.pos_cross,
                     *tup.negs_same, *tup.negs_cross]
             h = 1e-5
@@ -237,9 +235,9 @@ class TestGradients:
                 for i in range(dim):
                     old = vec[i]
                     vec[i] = old + h
-                    f_plus = hetero_loss(tup, margins).total
+                    f_plus = hetero_loss_grad(tup, margins)[0].total
                     vec[i] = old - h
-                    f_minus = hetero_loss(tup, margins).total
+                    f_minus = hetero_loss_grad(tup, margins)[0].total
                     vec[i] = old
                     fd = (f_plus - f_minus) / (2 * h)
                     assert abs(fd - g[i]) <= 1e-4 * max(1.0, abs(fd))
@@ -279,13 +277,13 @@ class TestBatched:
                 v1, g1 = hetero_loss_grad(single, Margins(0.4, 0.3))
                 for name in ("l1", "l2", "total"):
                     assert same_bits(getattr(val, name)[i], getattr(v1, name)), name
-                assert same_bits(grad.d_anchor[i], g1.d_anchor)
-                assert same_bits(grad.d_pos_same[i], g1.d_pos_same)
-                assert same_bits(grad.d_pos_cross[i], g1.d_pos_cross)
-                assert same_bits(grad.d_negs_same[i, :ks], g1.d_negs_same)
-                assert same_bits(grad.d_negs_cross[i, :kc], g1.d_negs_cross)
-                assert np.all(grad.d_negs_same[i, ks:] == 0.0)
-                assert np.all(grad.d_negs_cross[i, kc:] == 0.0)
+                assert same_bits(grad.anchor[i], g1.anchor)
+                assert same_bits(grad.pos_same[i], g1.pos_same)
+                assert same_bits(grad.pos_cross[i], g1.pos_cross)
+                assert same_bits(grad.negs_same[i, :ks], g1.negs_same)
+                assert same_bits(grad.negs_cross[i, :kc], g1.negs_cross)
+                assert np.all(grad.negs_same[i, ks:] == 0.0)
+                assert np.all(grad.negs_cross[i, kc:] == 0.0)
                 actives.add((bool(v1.l1 > 0), bool(v1.l2 > 0)))
         assert len(actives) == 4  # every combination of active hinges was seen
 
@@ -315,20 +313,20 @@ class TestBatched:
         hv, hg = hetero_loss_grad(tup, Margins(0.4, 0.0))
         assert not (hv.l2 > 0).any()
         assert same_bits(val, hv.l1)
-        assert same_bits(val, loss_l1(tup, 0.4))
-        np.testing.assert_array_equal(d_a, hg.d_anchor)
-        assert same_bits(d_p, hg.d_pos_same)
-        assert same_bits(d_n, hg.d_negs_same[:, 0])
+        assert same_bits(val, hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l1)
+        np.testing.assert_array_equal(d_a, hg.anchor)
+        assert same_bits(d_p, hg.pos_same)
+        assert same_bits(d_n, hg.negs_same[:, 0])
         for i in range(len(a)):
-            assert same_bits(val[i], triplet_loss(a[i], p[i], n[i], 0.4))
+            assert same_bits(val[i], triplet_loss_grad(a[i], p[i], n[i], 0.4)[0])
 
     def test_non_finite_embedding_gives_nan_not_zero(self):
         tup = EmbeddingTuple(v(np.nan, 0), v(0, 0), v(0, 0), [v(1, 0)], [v(1, 0)])
-        val = hetero_loss(tup, Margins())
+        val = hetero_loss_grad(tup, Margins())[0]
         assert np.isnan(val.l1) and np.isnan(val.total)
         assert not val.l1 > 0
         with np.errstate(invalid="ignore"):  # inf - inf
-            assert np.isnan(triplet_loss(v(np.inf), v(0.0), v(1.0), 0.4))
+            assert np.isnan(triplet_loss_grad(v(np.inf), v(0.0), v(1.0), 0.4)[0])
 
 
 def loss_arg(tup, margins, which):

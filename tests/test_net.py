@@ -188,8 +188,8 @@ class TestBackward:
     @pytest.mark.parametrize(
         "inputs,grads,message",
         [((3, 3), (2, 2), "batch size mismatch between inputs and gradients"),
-         ((2, 4), (2, 2), "input dim mismatch"),
-         ((2, 3), (2, 3), "gradient dim mismatch"),
+         ((2, 4), (2, 2), "input dim 4 != config input_dim 3"),
+         ((2, 3), (2, 3), "gradient dim 3 != config embed_dim 2"),
          ((2, 3, 3), (2, 2), "expected a 2-D batch of rows, got shape (2, 3, 3)"),
          ((2, 3), (2, 2, 2), "expected a 2-D batch of rows, got shape (2, 2, 2)")],
     )
