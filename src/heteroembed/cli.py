@@ -267,10 +267,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _run_inputs(args) -> tuple[Dataset, TrainConfig, float, int]:
-    """Load `--data`, then build the run config from `--config` and `--seed`."""
-    dataset = load_manifest(args.data)
+def _run_config(args) -> dict[str, str]:
+    """Read `--config` and check its keys and values, before any input file is opened."""
     cfg = parse_config_file(args.config) if args.config else {}
+    _fields(cfg, RUN_KEYS)  # a config class's own refusal waits for `run_config_from`
+    return cfg
+
+
+def _run_inputs(args, cfg: dict[str, str]) -> tuple[Dataset, TrainConfig, float, int]:
+    """Load `--data`, then build the run config from `cfg` and `--seed`."""
+    dataset = load_manifest(args.data)
     return (dataset, *run_config_from(cfg, dataset.feature_dim, seed_override=args.seed))
 
 
@@ -278,7 +284,7 @@ def cmd_train(args) -> int:
     log_path = args.log_out or (str(args.out) + ".log.csv")
     _check_out_paths({"--out": args.out, "--log-out": log_path},
                      {"--data": args.data, "--config": args.config})
-    dataset, config, train_fraction, _ = _run_inputs(args)
+    dataset, config, train_fraction, _ = _run_inputs(args, _run_config(args))
     train_set, _ = split_by_identity(dataset, train_fraction, config.seed)
     net, log = train(train_set, config)
     save_checkpoint(net, args.out)
@@ -293,8 +299,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _check_out_paths({"--roc-out": args.roc_out, "--cmc-out": args.cmc_out},
                      {"--checkpoint": args.checkpoint, "--data": args.data, "--config": args.config})
+    cfg = _run_config(args)
     net = load_checkpoint(args.checkpoint)
-    dataset, config, train_fraction, enroll = _run_inputs(args)
+    dataset, config, train_fraction, enroll = _run_inputs(args, cfg)
     if dataset.feature_dim != net.config.input_dim:
         raise ShapeError(
             f"data feature_dim {dataset.feature_dim} != checkpoint "
@@ -344,7 +351,7 @@ def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, en
 
 
 def cmd_compare(args) -> int:
-    dataset, config, train_fraction, enroll = _run_inputs(args)
+    dataset, config, train_fraction, enroll = _run_inputs(args, _run_config(args))
     results = run_compare(dataset, config, train_fraction, enroll)
     for key in sorted(results):
         print(f"{key}={results[key]:.9g}")

@@ -39,7 +39,7 @@ class EmbeddingTuple:
     All negatives come from a single negative identity (enforced by the
     sampler, not here). In a batch whose tuples have fewer negatives than
     the sets' K, `n_same`/`n_cross` (batch-shaped ints) count the leading
-    negatives in use; None means all K. A loss returns its gradients in the
+    negatives in use, 1 to K; None means all K. A loss returns its gradients in the
     same layout, each in the field of the embedding it belongs to.
     """
 
@@ -69,7 +69,7 @@ def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
     """(..., K, D) vectors, from an array or a list of K equal-shape vectors,
-    and the (..., K) mask of those in use: the first `count` of each set."""
+    and the (..., K) mask of those in use: the first `count` of each set, 1 <= count <= K."""
     try:
         vectors = np.asarray(vectors)
     except ValueError as exc:  # a ragged list
@@ -78,9 +78,12 @@ def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("mean_embedding of empty set")
     if count is None:
         return vectors, np.ones(vectors.shape[:-1], dtype=bool)
-    in_use = np.arange(vectors.shape[-2]) < np.asarray(count)[..., None]
+    count, k = np.asarray(count), vectors.shape[-2]
+    in_use = np.arange(k) < count[..., None]
     if in_use.shape != vectors.shape[:-1] or not in_use[..., 0].all():
         raise ValueError("each negative set needs a count >= 1")
+    if (count > k).any():
+        raise ValueError(f"each negative set needs a count <= K={k}, got {count.max()}")
     return vectors, in_use
 
 

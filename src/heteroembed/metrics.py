@@ -25,16 +25,27 @@ FAR_LEVELS = (0.001, 0.1)
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """Genuine (same-identity) and impostor distances.
+    """Genuine (same-identity) and impostor distances, each held sorted ascending float64.
 
-    The ROC reads need both sorted ascending, as `roc` returns them: the
-    sweep's thresholds are -inf, every distinct score, then +inf, and at each
-    one FAR and GAR are the shares of impostor and genuine scores at or below
-    it. `far`, `gar` and `threshold` build those arrays when read.
+    Building one converts and sorts each array, copying neither that already
+    is sorted float64, and refuses an empty or NaN set. The sweep's thresholds
+    are -inf, every distinct score, then +inf; at each one FAR and GAR are the
+    shares of impostor and genuine scores at or below it.
     """
 
     genuine: np.ndarray
     impostor: np.ndarray
+
+    def __post_init__(self):
+        arrays = [np.asarray(a, dtype=np.float64) for a in (self.genuine, self.impostor)]
+        if min(a.size for a in arrays) == 0:
+            raise ValueError("genuine and impostor sets must be nonempty")
+        for name, a in zip(("genuine", "impostor"), arrays):
+            if not (a[1:] >= a[:-1]).all():  # a NaN compares false, so its array is sorted, NaN last
+                a = np.sort(a)
+            if np.isnan(a[-1]):
+                raise ValueError(f"NaN {name} score")
+            object.__setattr__(self, name, a)
 
     def rates(self, threshold):
         """(FAR, GAR) at a threshold or an array of thresholds."""
@@ -51,15 +62,8 @@ class ScoreSet:
 
     @property
     def far(self) -> np.ndarray:
+        """The FAR of each threshold; the benchmark's `metrics.roc_points` counter reads its length."""
         return self.points()[0]
-
-    @property
-    def gar(self) -> np.ndarray:
-        return self.points()[1]
-
-    @property
-    def threshold(self) -> np.ndarray:
-        return self.points()[2]
 
 
 @dataclass
@@ -151,19 +155,12 @@ def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentRep
 
 
 def roc(scores: ScoreSet) -> ScoreSet:
-    """`scores` with both arrays sorted float64, copying neither that already is; refuses an empty or NaN set."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in (scores.genuine, scores.impostor)]
-    if min(a.size for a in arrays) == 0:
-        raise ValueError("genuine and impostor sets must be nonempty")
-    arrays = [a if (a[1:] >= a[:-1]).all() else np.sort(a) for a in arrays]
-    for name, a in zip(("genuine", "impostor"), arrays):
-        if np.isnan(a[-1]):  # NaN sorts last
-            raise ValueError(f"NaN {name} score")
-    return ScoreSet(*arrays)
+    """`scores` itself: a `ScoreSet` is its own ROC, sorted and checked when it was built."""
+    return scores
 
 
 def eer(curve: ScoreSet) -> float:
-    """Operating point where FAR equals FRR, linearly interpolated.
+    """Operating point where FAR equals FRR on any `ScoreSet`, linearly interpolated.
 
     FAR - FRR never falls along the sweep. The first threshold where it
     reaches 0 is the lower of the first such genuine and impostor scores (or
@@ -227,7 +224,7 @@ def gar_at_far(curve: ScoreSet, far_level: float) -> float:
 def verification_scores(
     dist: np.ndarray, probe_identities, gallery_identities
 ) -> ScoreSet:
-    """Label every probe x gallery distance genuine or impostor by identity; each set comes back sorted."""
+    """Label every probe x gallery distance genuine or impostor by identity; each set is sorted in place, not copied."""
     dist = np.asarray(dist, dtype=np.float64)
     probe_codes, gallery_codes, per_probe = _identity_codes(
         dist, list(probe_identities), list(gallery_identities)

@@ -917,6 +917,20 @@ class TestOneConfigFile:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        ["train --config {cfg} --data {tmp}/none.hem --out {tmp}/out",
+         "eval --checkpoint {tmp}/none.ckpt --config {cfg} --data {data}",
+         "eval --checkpoint {ckpt} --config {cfg} --data {tmp}/none.hem",
+         "compare --config {cfg} --data {tmp}/none.hem"],
+    )
+    def test_config_checked_before_any_input_file(self, tmp_path, small_manifest, argv):
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        cfg = write(tmp_path / "run.cfg", "bogus=1\n")
+        code, out, err = run_main(argv.format(cfg=cfg, data=small_manifest, ckpt=ckpt, tmp=tmp_path).split())
+        assert (code, out, err) == (2, "", "error: unknown config key 'bogus'\n")
+
+    @pytest.mark.parametrize(
         "command,lines,message",
         [("train", ["bogus=1", "tuple.k=+4"], "unknown config key 'bogus'"),
          ("train", ["tuple.k=+4", "bogus=1"], "config key 'tuple.k': bad value '+4'"),

@@ -68,6 +68,11 @@ class TestMeanEmbedding:
             mean_embedding(sets, np.array(count))
         assert str(info.value) == "each negative set needs a count >= 1"
 
+    def test_count_above_k_rejected(self):
+        with pytest.raises(ValueError) as info:
+            mean_embedding(np.arange(24.0).reshape(2, 3, 4), count=[5, 1])
+        assert str(info.value) == "each negative set needs a count <= K=3, got 5"
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(ShapeError, match="mixed dims"):
             mean_embedding([v(1, 0), v(1, 0, 0)])
@@ -131,6 +136,16 @@ class TestHeteroLoss:
         val = hetero_loss_grad(tup, Margins(0.4, 0.4))[0]
         assert val.total == 0.0
         assert not val.l1 > 0 and not val.l2 > 0
+
+    @pytest.mark.parametrize("field", ["n_same", "n_cross"])
+    def test_count_above_k_rejected(self, field):
+        z = np.zeros((2, 3))
+        tup = EmbeddingTuple(z, z, z, np.zeros((2, 2, 3)), np.zeros((2, 4, 3)), np.array([2, 1]), np.array([4, 1]))
+        setattr(tup, field, np.array([1, 5]))
+        k = 2 if field == "n_same" else 4
+        with pytest.raises(ValueError) as info:
+            hetero_loss_grad(tup, Margins())
+        assert str(info.value) == f"each negative set needs a count <= K={k}, got 5"
 
     def test_margin_monotonicity(self):
         rng = np.random.default_rng(3)

@@ -271,7 +271,44 @@ class TestIdentify:
 # --- verification -----------------------------------------------------------
 
 
+class TestScoreSet:
+    """Any `ScoreSet` is valid input to the ROC reads: it is sorted when built."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_arrays_give_the_sorted_results(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        genuine = np.round(rng.random(40), 1)  # ties, and values shared with the impostors
+        impostor = np.round(rng.random(60) + 0.2, 1)
+        ordered = ScoreSet(genuine=np.sort(genuine), impostor=np.sort(impostor))
+        shuffled = ScoreSet(genuine=rng.permutation(genuine), impostor=rng.permutation(impostor))
+        assert eer(shuffled) == eer(ordered)
+        for level in (0.001, 0.1, 0.25):
+            assert gar_at_far(shuffled, level) == gar_at_far(ordered, level)
+        for got, want in zip(shuffled.points(), ordered.points()):
+            assert got.tobytes() == want.tobytes()
+        write_roc_csv(ordered, tmp_path / "ordered.csv")
+        write_roc_csv(shuffled, tmp_path / "shuffled.csv")
+        assert (tmp_path / "shuffled.csv").read_bytes() == (tmp_path / "ordered.csv").read_bytes()
+
+    def test_unsorted_lists_are_read_in_order(self):
+        scores = ScoreSet(genuine=[0.3, 0.1, 0.2], impostor=[0.9, 0.15, 0.5, 0.05])
+        assert gar_at_far(scores, 0.25) == pytest.approx(1 / 3)
+        assert scores.genuine.dtype == np.float64
+        np.testing.assert_array_equal(scores.impostor, [0.05, 0.15, 0.5, 0.9])
+
+    def test_sorted_float64_arrays_are_held_without_a_copy(self):
+        genuine, impostor = np.array([0.1, 0.2]), np.array([0.9, 0.15, 0.5])
+        scores = ScoreSet(genuine=genuine, impostor=impostor)
+        assert np.shares_memory(scores.genuine, genuine)
+        assert not np.shares_memory(scores.impostor, impostor)
+        np.testing.assert_array_equal(impostor, [0.9, 0.15, 0.5])  # the caller's array is not sorted in place
+
+
 class TestRoc:
+    def test_returns_its_argument(self):
+        scores = ScoreSet(genuine=np.array([0.3, 0.1]), impostor=np.array([0.9, 0.2]))
+        assert roc(scores) is scores
+
     def test_returns_the_sorted_score_set(self):
         curve = roc(ScoreSet(genuine=np.array([0.3, 0.1]), impostor=np.array([0.9, 0.2])))
         assert isinstance(curve, ScoreSet)
@@ -286,23 +323,24 @@ class TestRoc:
 
     def test_separable(self):
         curve = roc(ScoreSet(genuine=np.array([0.1]), impostor=np.array([0.9])))
-        hit = [(f, g) for f, g, t in zip(curve.far, curve.gar, curve.threshold) if t == 0.1]
+        far, gar, threshold = curve.points()
+        hit = [(f, g) for f, g, t in zip(far, gar, threshold) if t == 0.1]
         assert hit == [(0.0, 1.0)]
-        assert curve.far[0] == 0.0 and curve.far[-1] == 1.0
+        assert far[0] == 0.0 and far[-1] == 1.0
 
     def test_identical_distributions_on_diagonal(self):
         vals = np.array([0.1, 0.4, 0.7])
-        curve = roc(ScoreSet(genuine=vals, impostor=vals.copy()))
-        np.testing.assert_array_equal(curve.far, curve.gar)
+        far, gar, _ = roc(ScoreSet(genuine=vals, impostor=vals.copy())).points()
+        np.testing.assert_array_equal(far, gar)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(10)
         genuine = rng.random(100)
         impostor = rng.random(100)
-        curve = roc(ScoreSet(genuine=genuine, impostor=impostor))
+        far, gar, threshold = roc(ScoreSet(genuine=genuine, impostor=impostor)).points()
         expected = brute_roc_points(genuine, impostor)
-        assert len(curve.far) == len(expected)
-        for (f, g, t), cf, cg, ct in zip(expected, curve.far, curve.gar, curve.threshold):
+        assert len(far) == len(expected)
+        for (f, g, t), cf, cg, ct in zip(expected, far, gar, threshold):
             assert abs(cf - f) < 1e-12 and abs(cg - g) < 1e-12
             assert ct == t
 
@@ -325,9 +363,9 @@ class TestRoc:
 
     def test_monotone(self):
         rng = np.random.default_rng(11)
-        curve = roc(ScoreSet(genuine=rng.random(50), impostor=rng.random(80) + 0.2))
-        assert np.all(np.diff(curve.far) >= 0)
-        assert np.all(np.diff(curve.gar) >= 0)
+        far, gar, _ = roc(ScoreSet(genuine=rng.random(50), impostor=rng.random(80) + 0.2)).points()
+        assert np.all(np.diff(far) >= 0)
+        assert np.all(np.diff(gar) >= 0)
 
 
 class TestEer:
@@ -429,8 +467,8 @@ class TestAgainstTheSweep:
         assert eer(curve) == sweep_eer(far, gar)
         for level in LEVELS:
             assert gar_at_far(curve, level) == sweep_gar_at_far(far, gar, level)
-        assert curve.far.tobytes() == far.tobytes() and curve.gar.tobytes() == gar.tobytes()
-        assert curve.threshold.tobytes() == threshold.tobytes()
+        for got, want in zip(curve.points(), (far, gar, threshold)):
+            assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=400, deadline=None)
     @given(genuine=SCORES, impostor=SCORES)
