@@ -38,6 +38,9 @@ class ScoreSet:
 
     def __post_init__(self):
         arrays = [np.asarray(a, dtype=np.float64) for a in (self.genuine, self.impostor)]
+        for name, a in zip(("genuine", "impostor"), arrays):
+            if a.ndim != 1:
+                raise ShapeError(f"{name} scores must be 1-D, got shape {a.shape}")
         if min(a.size for a in arrays) == 0:
             raise ValueError("genuine and impostor sets must be nonempty")
         for name, a in zip(("genuine", "impostor"), arrays):
@@ -102,56 +105,47 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     return d
 
 
-def _identity_codes(dist: np.ndarray, probe_identities: list, gallery_identities: list):
-    """(probe codes, gallery codes, genuine entries per probe) for a matching `dist`.
+def _labeled_blocks(dist, probe_identities: list, gallery_identities: list):
+    """(genuine entries per probe, blocks) for `dist` and its label lists, coded once.
 
-    Equal codes are equal identities.
+    `blocks` yields `(rows, dist[rows], same)` over float64 row slices of about
+    BLOCK entries; `same` marks the same-identity entries.
     """
+    dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (len(probe_identities), len(gallery_identities)):
         raise ShapeError("distance matrix does not match label lists")
     _, codes = np.unique(np.asarray(probe_identities + gallery_identities), return_inverse=True)
     probe_codes, gallery_codes = np.split(codes, [len(probe_identities)])
     per_probe = np.bincount(gallery_codes, minlength=codes.size)[probe_codes]
-    return probe_codes, gallery_codes, per_probe
-
-
-def _probe_blocks(dist: np.ndarray):
-    """Row slices of `dist` holding about BLOCK entries each."""
-    rows = max(1, BLOCK // max(1, dist.shape[1]))
-    return (slice(i, i + rows) for i in range(0, dist.shape[0], rows))
+    step = max(1, BLOCK // max(1, dist.shape[1]))
+    rows = (slice(i, i + step) for i in range(0, dist.shape[0], step))
+    return per_probe, ((r, dist[r], probe_codes[r, None] == gallery_codes) for r in rows)
 
 
 def identify(dist: np.ndarray, probe_identities, gallery_identities) -> IdentReport:
-    """CMC over a probe x gallery distance matrix.
+    """CMC over a probe x gallery distance matrix, one block of probes at a time.
 
     A probe's first genuine match is its closest same-identity gallery entry,
     the lowest index among equals; its rank counts the entries strictly
     closer plus the equal ones at a lower index. No probes, a NaN distance and
-    a probe identity missing from the gallery are errors.
+    a probe identity with no sample in the gallery are errors.
     """
-    dist = np.asarray(dist, dtype=np.float64)
-    probe_identities = list(probe_identities)
-    probe_codes, gallery_codes, per_probe = _identity_codes(
-        dist, probe_identities, list(gallery_identities)
-    )
+    probe_identities, gallery_identities = list(probe_identities), list(gallery_identities)
+    per_probe, blocks = _labeled_blocks(dist, probe_identities, gallery_identities)
     if not probe_identities:
         raise ValueError("no probes to identify")
     missing = np.flatnonzero(per_probe == 0)
     if missing.size:
-        raise ValueError(f"probe identity {probe_identities[missing[0]]!r} absent from gallery")
-
-    n_probes, n_gallery = dist.shape
-    hits = np.zeros(n_gallery, dtype=np.int64)
-    for rows in _probe_blocks(dist):
-        d = dist[rows]
+        raise ValueError(f"probe identity {probe_identities[missing[0]]!r} has no sample in the gallery")
+    hits = np.zeros(len(gallery_identities), dtype=np.int64)
+    for rows, d, same in blocks:
         if np.isnan(d).any():
             raise ValueError(f"NaN distance for probe {rows.start + np.isnan(d).any(axis=1).argmax()}")
-        same = probe_codes[rows, None] == gallery_codes
         best = np.min(d, axis=1, where=same, initial=np.inf, keepdims=True)
         earlier = ~np.logical_or.accumulate(same & (d == best), axis=1)  # before the first genuine match
         ahead = (d < best) | ((d == best) & earlier)
-        hits += np.bincount(ahead.sum(axis=1), minlength=n_gallery)
-    return IdentReport(rank_accuracies=np.cumsum(hits) / n_probes)
+        hits += np.bincount(ahead.sum(axis=1), minlength=hits.size)
+    return IdentReport(rank_accuracies=np.cumsum(hits) / per_probe.size)
 
 
 def roc(scores: ScoreSet) -> ScoreSet:
@@ -221,25 +215,17 @@ def gar_at_far(curve: ScoreSet, far_level: float) -> float:
     return float(np.interp(far_level, [low / n, high / n], [best_gar(low), best_gar(high)]))
 
 
-def verification_scores(
-    dist: np.ndarray, probe_identities, gallery_identities
-) -> ScoreSet:
-    """Label every probe x gallery distance genuine or impostor by identity; each set is sorted in place, not copied."""
-    dist = np.asarray(dist, dtype=np.float64)
-    probe_codes, gallery_codes, per_probe = _identity_codes(
-        dist, list(probe_identities), list(gallery_identities)
-    )
+def verification_scores(dist: np.ndarray, probe_identities, gallery_identities) -> ScoreSet:
+    """Label every distance genuine or impostor by identity, a probe block at a time; each set is sorted in place."""
+    probe_identities, gallery_identities = list(probe_identities), list(gallery_identities)
+    per_probe, blocks = _labeled_blocks(dist, probe_identities, gallery_identities)
     n_genuine = int(per_probe.sum())
-    genuine, impostor = np.empty(n_genuine), np.empty(dist.size - n_genuine)
-    g = i = 0
-    for rows in _probe_blocks(dist):
-        d = dist[rows]
-        same = probe_codes[rows, None] == gallery_codes
-        block_genuine, block_impostor = d[same], d[~same]
-        genuine[g:g + block_genuine.size] = block_genuine
-        impostor[i:i + block_impostor.size] = block_impostor
-        g += block_genuine.size
-        i += block_impostor.size
+    genuine, impostor = np.empty(n_genuine), np.empty(per_probe.size * len(gallery_identities) - n_genuine)
+    g = i = 0  # genuine and impostor entries filled
+    for _, d, same in blocks:
+        n = np.count_nonzero(same)
+        genuine[g:g + n], impostor[i:i + d.size - n] = d[same], d[~same]
+        g, i = g + n, i + d.size - n
     genuine.sort()
     impostor.sort()
     return ScoreSet(genuine=genuine, impostor=impostor)

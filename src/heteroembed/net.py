@@ -61,6 +61,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
 def is_finite(name: str, value) -> bool:
     """Whether the real `value` is finite; a ConfigError naming `name` if it is not a real number."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # math.isfinite accepts a bool, but a bool is no real
+            raise TypeError
         return math.isfinite(value)
     except TypeError:
         raise ConfigError(f"{name} must be a real number, got {value!r}") from None

@@ -98,7 +98,7 @@ REALS = {
 }
 
 
-@pytest.mark.parametrize("value", ["0.4", None, [0.4], 1j])
+@pytest.mark.parametrize("value", ["0.4", None, [0.4], 1j, True, np.True_])
 @pytest.mark.parametrize("field", REALS)
 def test_real_must_be_a_number(field, value):
     build, name = REALS[field]

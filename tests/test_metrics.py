@@ -224,8 +224,9 @@ class TestIdentify:
         assert str(info.value) == "distance matrix does not match label lists"
 
     def test_strict_missing_identity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             identify(np.array([[0.1]]), ["ghost"], ["a"])
+        assert str(info.value) == "probe identity 'ghost' has no sample in the gallery"
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(8)
@@ -303,6 +304,15 @@ class TestScoreSet:
         assert not np.shares_memory(scores.impostor, impostor)
         np.testing.assert_array_equal(impostor, [0.9, 0.15, 0.5])  # the caller's array is not sorted in place
 
+    @pytest.mark.parametrize("side", ["genuine", "impostor"])
+    @pytest.mark.parametrize("shape", [(2, 2), (), (1, 1, 3)])
+    def test_scores_not_one_dimensional_refused(self, side, shape):
+        sets = {"genuine": np.array([0.1, 0.2]), "impostor": np.array([0.5])}
+        sets[side] = np.ones(shape)
+        with pytest.raises(ShapeError) as info:
+            ScoreSet(**sets)
+        assert str(info.value) == f"{side} scores must be 1-D, got shape {shape}"
+
 
 class TestRoc:
     def test_returns_its_argument(self):
@@ -314,12 +324,6 @@ class TestRoc:
         assert isinstance(curve, ScoreSet)
         np.testing.assert_array_equal(curve.genuine, [0.1, 0.3])
         np.testing.assert_array_equal(curve.impostor, [0.2, 0.9])
-
-    def test_sorted_float64_arrays_are_not_copied(self):
-        scores = ScoreSet(genuine=np.array([0.1, 0.2]), impostor=np.array([0.15, 0.5, 0.9]))
-        curve = roc(scores)
-        assert np.shares_memory(curve.genuine, scores.genuine)
-        assert np.shares_memory(curve.impostor, scores.impostor)
 
     def test_separable(self):
         curve = roc(ScoreSet(genuine=np.array([0.1]), impostor=np.array([0.9])))
@@ -500,6 +504,22 @@ class TestAgainstTheSweep:
         assert scores.impostor.tobytes() == np.sort(dist[~same]).tobytes()
         curve = roc(scores)
         assert curve.genuine is scores.genuine and curve.impostor is scores.impostor
+
+    def test_every_block_size_gives_the_same_results(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        gallery_ids = ["a", "b", "a", "c", "b"]  # repeated labels
+        probe_ids = [gallery_ids[i] for i in rng.integers(0, 5, size=7)]
+        dist = rng.choice([0.0, -0.0, 1.0, 2.0, np.inf], size=(7, 5))  # ties, signed zeros and inf
+
+        def results(block):
+            monkeypatch.setattr(metrics, "BLOCK", block)
+            scores = verification_scores(dist, probe_ids, gallery_ids)
+            cmc = identify(dist, probe_ids, gallery_ids).rank_accuracies
+            return [a.tobytes() for a in (cmc, scores.genuine, scores.impostor)]
+
+        expected = results(1 << 16)
+        for block in (1, 4, 5, 6, 15, 35):  # 1, G - 1, G, G + 1, 3G and P * G entries
+            assert results(block) == expected, block
 
 
 class TestScaleConsistency:
