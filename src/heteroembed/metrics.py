@@ -28,19 +28,27 @@ class ScoreSet:
     """Genuine (same-identity) and impostor distances, each held sorted ascending float64.
 
     Building one converts and sorts each array, copying neither that already
-    is sorted float64, and refuses an empty or NaN set. The sweep's thresholds
-    are -inf, every distinct score, then +inf; at each one FAR and GAR are the
-    shares of impostor and genuine scores at or below it.
+    is sorted float64, and refuses an empty set, a NaN or a score that is not a
+    real number. The sweep's thresholds are -inf, every distinct score, then
+    +inf; at each one FAR and GAR are the shares of impostor and genuine scores
+    at or below it.
     """
 
     genuine: np.ndarray
     impostor: np.ndarray
 
     def __post_init__(self):
-        arrays = [np.asarray(a, dtype=np.float64) for a in (self.genuine, self.impostor)]
-        for name, a in zip(("genuine", "impostor"), arrays):
+        arrays = []
+        for name in ("genuine", "impostor"):
+            try:
+                a = np.asarray(getattr(self, name))
+            except ValueError:  # a ragged list, refused below as an object array
+                a = np.array(None)
+            if a.dtype.kind not in "iuf":
+                raise ValueError(f"{name} scores must be real numbers, got dtype {a.dtype}")
             if a.ndim != 1:
                 raise ShapeError(f"{name} scores must be 1-D, got shape {a.shape}")
+            arrays.append(a.astype(np.float64, copy=False))
         if min(a.size for a in arrays) == 0:
             raise ValueError("genuine and impostor sets must be nonempty")
         for name, a in zip(("genuine", "impostor"), arrays):

@@ -37,8 +37,9 @@ class DatasetIndex:
 
     `pairs` holds, per ordered domain pair (p != q, domains sorted), the tuple
     (p, q, negatives, in_p, in_q, anchors): the identities with >= 1 sample in p
-    and in q (sorted), each one's sorted sample ids in p and in q, and the
-    positions among them of the anchors, which also have >= 2 samples in p.
+    and in q (sorted), each one's rows (positions in `dataset.samples`) in p and
+    in q in sample-id order, and the positions among them of the anchors, which
+    also have >= 2 samples in p.
     Triples are numbered by pair, then anchor, then negative b != a; pair k
     holds the numbers ends[k - 1] to ends[k] - 1.
     """
@@ -51,11 +52,13 @@ class DatasetIndex:
 
 @dataclass
 class SampledTuple:
-    anchor_id: int
-    pos_same_id: int
-    pos_cross_id: int
-    neg_same_ids: list[int]
-    neg_cross_ids: list[int]
+    """One draw, as rows of the indexed dataset: the members, then the labels they came from."""
+
+    anchor: int
+    pos_same: int
+    pos_cross: int
+    negs_same: list[int]
+    negs_cross: list[int]
     identity_a: str
     identity_b: str
     domain_p: str
@@ -67,16 +70,14 @@ def build_index(dataset: Dataset) -> DatasetIndex:
     if not dataset.samples:
         raise ValueError("cannot index an empty dataset")
     groups: dict[tuple[str, str], list[int]] = {}
-    for s in dataset.samples:
-        groups.setdefault((s.identity, s.domain), []).append(s.id)
-    for ids in groups.values():
-        ids.sort()
+    for row, s in sorted(enumerate(dataset.samples), key=lambda item: item[1].id):
+        groups.setdefault((s.identity, s.domain), []).append(row)
     identities, domains = dataset.identities(), dataset.domains()
     pairs, ends = [], []
     for p, q in permutations(domains, 2):
         negatives = [b for b in identities if (b, p) in groups and (b, q) in groups]
         in_p, in_q = [groups[b, p] for b in negatives], [groups[b, q] for b in negatives]
-        anchors = [s for s, ids in enumerate(in_p) if len(ids) >= 2]
+        anchors = [s for s, rows in enumerate(in_p) if len(rows) >= 2]
         pairs.append((p, q, negatives, in_p, in_q, anchors))
         ends.append((ends[-1] if ends else 0) + len(anchors) * (len(negatives) - 1))
     return DatasetIndex(pairs=pairs, ends=ends, identities=identities, domains=domains)
@@ -106,14 +107,14 @@ def epoch_tuples(
         s, r = divmod(i - (ends[k - 1] if k else 0), len(negatives) - 1)
         a = anchors[s]
         b = r + (r >= a)  # the negative's position skips the anchor's
-        anchor_id, pos_same_id = draw_distinct(rng, in_p[a], 2)
-        (pos_cross_id,) = draw_distinct(rng, in_q[a], 1)
+        anchor, pos_same = draw_distinct(rng, in_p[a], 2)
+        (pos_cross,) = draw_distinct(rng, in_q[a], 1)
         tuples.append(SampledTuple(
-            anchor_id=anchor_id,
-            pos_same_id=pos_same_id,
-            pos_cross_id=pos_cross_id,
-            neg_same_ids=draw_distinct(rng, in_p[b], spec.k),
-            neg_cross_ids=draw_distinct(rng, in_q[b], spec.k),
+            anchor=anchor,
+            pos_same=pos_same,
+            pos_cross=pos_cross,
+            negs_same=draw_distinct(rng, in_p[b], spec.k),
+            negs_cross=draw_distinct(rng, in_q[b], spec.k),
             identity_a=negatives[a],
             identity_b=negatives[b],
             domain_p=p,

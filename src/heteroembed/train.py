@@ -80,41 +80,29 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
-def _batch_step(
-    net: EmbeddingNet,
-    features: np.ndarray,
-    sample_ids: np.ndarray,
-    batch: list[SampledTuple],
-    margins: Margins,
-    baseline: bool,
-):
+def _slots(tuples: list[SampledTuple], k: int) -> np.ndarray:
+    """One row per tuple: anchor, same- and cross-domain positives, then each negative set padded to k with -1."""
+    pad = lambda rows: [*rows, *[-1] * (k - len(rows))]
+    return np.array([[t.anchor, t.pos_same, t.pos_cross, *pad(t.negs_same), *pad(t.negs_cross)] for t in tuples])
+
+
+def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, margins: Margins, baseline: bool):
     """Returns the flat gradient and the sums (loss, l1, l2, active hinges, hinges).
 
-    `features[r]` is the sample whose id is `sample_ids[r]`, ids increasing.
-    Each tuple fills a row of slots: anchor, same- and cross-domain
-    positives, then its same- and cross-domain negatives, padded to the
-    batch's largest sets. The baseline uses only the anchor, the same-domain
-    positive and the first same-domain negative. Every slot in use is one
-    forward row, in slot order, so a sample in two slots sums both gradients.
+    `slots` is a block of `_slots`' table of `features` rows, -1 marking an empty
+    slot. The baseline uses only the anchor, the same-domain positive and the
+    first same-domain negative. Every slot in use is one forward row, in slot
+    order, so a sample in two slots sums both gradients.
     """
-    n_same = np.array([len(t.neg_same_ids) for t in batch])
-    n_cross = np.array([len(t.neg_cross_ids) for t in batch])
-    k1, k2 = n_same.max(), n_cross.max()
-    same, cross = slice(3, 3 + k1), slice(3 + k1, None)
-    ids = np.array([
-        [t.anchor_id, t.pos_same_id, t.pos_cross_id,
-         *t.neg_same_ids, *[-1] * (k1 - len(t.neg_same_ids)),
-         *t.neg_cross_ids, *[-1] * (k2 - len(t.neg_cross_ids))]
-        for t in batch
-    ])
-    in_use = np.ones(ids.shape, dtype=bool)
-    in_use[:, same] = np.arange(k1) < n_same[:, None]
-    in_use[:, cross] = np.arange(k2) < n_cross[:, None]
+    in_use = slots >= 0
+    k = (slots.shape[1] - 3) // 2
+    same, cross = slice(3, 3 + k), slice(3 + k, None)
+    n_same, n_cross = in_use[:, same].sum(axis=1), in_use[:, cross].sum(axis=1)
     if baseline:
         in_use[:, 2] = in_use[:, 4:] = False
-    rows = np.zeros(ids.shape, dtype=np.intp)
+    rows = np.zeros(slots.shape, dtype=np.intp)
     rows[in_use] = np.arange(np.count_nonzero(in_use))
-    X = features[np.searchsorted(sample_ids, ids[in_use])]
+    X = features[slots[in_use]]
     E = forward_batch(net, X)[rows]
 
     G = np.zeros_like(E)
@@ -129,10 +117,10 @@ def _batch_step(
         G[:, 0], G[:, 1], G[:, 2] = g.anchor, g.pos_same, g.pos_cross
         G[:, same], G[:, cross] = g.negs_same, g.negs_cross
 
-    scale = 1.0 / len(batch)  # batch reduction: mean over tuples
+    scale = 1.0 / len(slots)  # batch reduction: mean over tuples
     grad = backward(net, X, scale * G[in_use])
     active = np.count_nonzero(l1 > 0) + np.count_nonzero(l2 > 0)
-    hinges = len(batch) * (1 if baseline else 2)
+    hinges = len(slots) * (1 if baseline else 2)
     # left-to-right sums, the order a running per-tuple total adds in
     sums = np.cumsum([l1 + l2, l1, l2], axis=1)[:, -1]
     return grad, np.append(sums, [active, hinges])
@@ -141,12 +129,11 @@ def _batch_step(
 # Overflow is reported once, as a NumericalError, not as numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, TrainingLog]:
-    """Train an embedding network on the given dataset; sample ids must be distinct."""
+    """Train an embedding network on the given dataset; distinct sample ids order the sampler's rows."""
     index = build_index(dataset)
-    sample_ids, rows = np.unique([s.id for s in dataset.samples], return_index=True)
-    if len(sample_ids) != len(dataset.samples):
+    if len({s.id for s in dataset.samples}) != len(dataset.samples):
         raise ValueError("sample ids must be distinct")
-    features = np.stack([s.features for s in dataset.samples])[rows]
+    features = np.stack([s.features for s in dataset.samples])
     net = init_net(config.net, config.seed)
     sampler_rng = np.random.default_rng([config.seed, 1])
     state = AdamState(learning_rate=config.learning_rate)
@@ -154,16 +141,17 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, Training
     log = TrainingLog()
 
     for epoch in range(config.epochs):
-        tuples = epoch_tuples(index, sampler_rng, config.tuple_spec, config.tuples_per_epoch)
+        slots = _slots(epoch_tuples(index, sampler_rng, config.tuple_spec, config.tuples_per_epoch),
+                       config.tuple_spec.k)
         totals = np.zeros(5)  # running sums in batch order, as `_batch_step` returns them
-        for start in range(0, len(tuples), config.batch_size):
-            batch = tuples[start : start + config.batch_size]
-            grad, sums = _batch_step(net, features, sample_ids, batch, config.margins, baseline)
+        for start in range(0, len(slots), config.batch_size):
+            block = slots[start : start + config.batch_size]
+            grad, sums = _batch_step(net, features, block, config.margins, baseline)
             adam_step(state, net.params, grad)
             if not (np.isfinite(sums[0]) and np.isfinite(grad).all() and np.isfinite(net.params).all()):
                 raise NumericalError(f"non-finite loss, gradient or parameter in epoch {epoch}")
             totals += sums
-        n = len(tuples)
+        n = len(slots)
         loss, l1, l2, active, hinges = totals.tolist()
         log.records.append(EpochRecord(epoch=epoch, mean_loss=loss / n, mean_l1=l1 / n, mean_l2=l2 / n,
                                        active_fraction=active / hinges, lr=state.learning_rate))

@@ -313,6 +313,18 @@ class TestScoreSet:
             ScoreSet(**sets)
         assert str(info.value) == f"{side} scores must be 1-D, got shape {shape}"
 
+    @pytest.mark.parametrize("side", ["genuine", "impostor"])
+    @pytest.mark.parametrize("scores,dtype", [
+        (["a"], "<U1"), ([1j], "complex128"), ([{}], "object"), (["0.5"], "<U3"), ([b"1"], "|S1"),
+        ([True], "bool"), ([[0.1], [0.2, 0.3]], "object"),  # the last one ragged
+    ])
+    def test_scores_not_real_numbers_refused(self, side, scores, dtype):
+        sets = {"genuine": [0.1, 0.2], "impostor": [0.5]}
+        sets[side] = scores
+        with pytest.raises(ValueError) as info:
+            ScoreSet(**sets)
+        assert str(info.value) == f"{side} scores must be real numbers, got dtype {dtype}"
+
 
 class TestRoc:
     def test_returns_its_argument(self):

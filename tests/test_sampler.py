@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from heteroembed.data import Dataset, Sample
+from heteroembed.data import Dataset, Sample, SynthConfig, generate_synthetic, split_by_identity
 from heteroembed.sampler import (
     InfeasibleError,
     SampledTuple,
@@ -13,6 +13,8 @@ from heteroembed.sampler import (
 )
 
 
+# These builders give each sample its row as its id, so the references' sorted ids
+# are the sampler's rows.
 def make_dataset(identities, domains, per_group):
     samples = []
     for ident in identities:
@@ -114,17 +116,17 @@ def check_tuple(tup, ds, spec):
     groups = reference_groups(ds)
     group = lambda ident, dom: groups.get((ident, dom), [])
     assert tup.identity_a != tup.identity_b
-    assert tup.anchor_id != tup.pos_same_id
+    assert tup.anchor != tup.pos_same
     group_ap = group(tup.identity_a, tup.domain_p)
-    assert tup.anchor_id in group_ap and tup.pos_same_id in group_ap
-    assert tup.pos_cross_id in group(tup.identity_a, tup.domain_q)
+    assert tup.anchor in group_ap and tup.pos_same in group_ap
+    assert tup.pos_cross in group(tup.identity_a, tup.domain_q)
     assert tup.domain_p != tup.domain_q
-    assert len(tup.neg_same_ids) == min(spec.k, len(group(tup.identity_b, tup.domain_p)))
-    assert len(tup.neg_cross_ids) == min(spec.k, len(group(tup.identity_b, tup.domain_q)))
-    assert len(set(tup.neg_same_ids)) == len(tup.neg_same_ids)
-    for i in tup.neg_same_ids:
+    assert len(tup.negs_same) == min(spec.k, len(group(tup.identity_b, tup.domain_p)))
+    assert len(tup.negs_cross) == min(spec.k, len(group(tup.identity_b, tup.domain_q)))
+    assert len(set(tup.negs_same)) == len(tup.negs_same)
+    for i in tup.negs_same:
         assert i in group(tup.identity_b, tup.domain_p)
-    for i in tup.neg_cross_ids:
+    for i in tup.negs_cross:
         assert i in group(tup.identity_b, tup.domain_q)
 
 
@@ -168,6 +170,29 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(Dataset(samples=[], feature_dim=2))
 
+    def test_rows_follow_sample_id_order(self):
+        # One side of a split has ids that are not 0..n-1; reversing its list
+        # puts them in decreasing order. The groups still run in id order, so
+        # one seed draws the same samples from either list.
+        full = generate_synthetic(SynthConfig(n_identities=10, samples_per_identity_per_domain=3,
+                                              feature_dim=2, seed=0))
+        side = split_by_identity(full, 0.5, 0)[1]
+        reversed_side = Dataset(samples=side.samples[::-1], feature_dim=side.feature_dim)
+        assert [s.id for s in side.samples] != list(range(len(side.samples)))
+        ids = np.array([s.id for s in reversed_side.samples])
+        for _, _, _, in_p, in_q, _ in build_index(reversed_side).pairs:
+            for rows in in_p + in_q:
+                assert (np.diff(ids[rows]) > 0).all()
+
+        def drawn_samples(ds):
+            ids = [s.id for s in ds.samples]
+            tuples = epoch_tuples(build_index(ds), np.random.default_rng(4), TupleSpec(k=2), 300)
+            return [(ids[t.anchor], ids[t.pos_same], ids[t.pos_cross], [ids[r] for r in t.negs_same],
+                     [ids[r] for r in t.negs_cross], t.identity_a, t.identity_b, t.domain_p, t.domain_q)
+                    for t in tuples]
+
+        assert drawn_samples(reversed_side) == drawn_samples(side)
+
 
 class TestSampleTuple:
     def test_minimal_index(self):
@@ -175,13 +200,13 @@ class TestSampleTuple:
         spec = TupleSpec(k=2)
         tup = epoch_tuples(build_index(ds), np.random.default_rng(0), spec, 1)[0]
         check_tuple(tup, ds, spec)
-        assert len(tup.neg_same_ids) == 2
+        assert len(tup.negs_same) == 2
 
     def test_k_truncation(self):
         index = build_index(make_dataset(["a", "b"], ["0", "1"], 3))
         spec = TupleSpec(k=5)
         tup = epoch_tuples(index, np.random.default_rng(1), spec, 1)[0]
-        assert len(tup.neg_cross_ids) == 3
+        assert len(tup.negs_cross) == 3
 
     def test_single_identity_infeasible(self):
         index = build_index(make_dataset(["a"], ["0", "1"], 3))
@@ -326,11 +351,11 @@ def reference_members(rng, ids, n):
 
 
 def reference_compose(groups, rng, spec, a, b, p, q):
-    anchor_id, pos_same_id = reference_members(rng, groups[a, p], 2)
-    pos_cross_id = reference_members(rng, groups[a, q], 1)[0]
+    anchor, pos_same = reference_members(rng, groups[a, p], 2)
+    pos_cross = reference_members(rng, groups[a, q], 1)[0]
     neg_same, neg_cross = groups[b, p], groups[b, q]
     return SampledTuple(
-        anchor_id, pos_same_id, pos_cross_id,
+        anchor, pos_same, pos_cross,
         reference_members(rng, neg_same, min(spec.k, len(neg_same))),
         reference_members(rng, neg_cross, min(spec.k, len(neg_cross))),
         a, b, p, q,

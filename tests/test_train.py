@@ -8,7 +8,7 @@ from heteroembed.data import Dataset, DomainShift, SynthConfig, generate_synthet
 from heteroembed.loss import EmbeddingTuple, Margins, hetero_loss_grad, triplet_loss_grad
 from heteroembed.net import EmbeddingNet, NetConfig, forward_batch, init_net
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
-from heteroembed.train import NumericalError, TrainConfig, _batch_step, train
+from heteroembed.train import NumericalError, TrainConfig, _batch_step, _slots, train
 
 
 def small_dataset(seed=0):
@@ -151,7 +151,7 @@ def test_duplicate_sample_ids_refused():
 
 
 def test_sample_order_does_not_matter():
-    # ids, not list positions, pick the feature rows
+    # the sampler takes each group's rows in sample-id order, not list order
     ds = small_dataset()
     shuffled = Dataset(samples=ds.samples[::-1], feature_dim=ds.feature_dim)
     net_a, log_a = train(ds, small_config())
@@ -171,7 +171,7 @@ STEP_MARGINS = Margins(alpha1=1.5, alpha2=2.5)  # most hinges active, and the tw
 
 
 def step_inputs(seed):
-    """(features, sample_ids, batch) of 12 tuples with k=3 from 4 identities with 3 samples in
+    """(features, batch) of 12 tuples with k=3 from 4 identities with 3 samples in
     each of 2 domains, except one identity with a single sample in the second domain.
 
     Up to 108 slots over 22 samples repeat samples across slots, and that identity's
@@ -182,21 +182,20 @@ def step_inputs(seed):
     lone, second = data.identities()[0], data.domains()[1]
     dropped = [s.id for s in data.samples if (s.identity, s.domain) == (lone, second)][1:]
     data = Dataset([s for s in data.samples if s.id not in dropped], data.feature_dim)
-    sample_ids, rows = np.unique([s.id for s in data.samples], return_index=True)
-    features = np.stack([s.features for s in data.samples])[rows]
+    features = np.stack([s.features for s in data.samples])
     batch = epoch_tuples(build_index(data), np.random.default_rng(seed), TupleSpec(k=3), 12)
-    return features, sample_ids, batch
+    return features, batch
 
 
-def per_tuple_losses(net, features, sample_ids, batch, baseline):
+def per_tuple_losses(net, features, batch, baseline):
     """(total, l1, l2) of each tuple, from its own forward pass and loss call."""
-    def embed(ids):
-        return forward_batch(net, features[np.searchsorted(sample_ids, ids)])
+    def embed(rows):
+        return forward_batch(net, features[rows])
 
     values = []
     for t in batch:
-        anchor, pos_same, pos_cross = embed([t.anchor_id, t.pos_same_id, t.pos_cross_id])
-        negs_same, negs_cross = embed(t.neg_same_ids), embed(t.neg_cross_ids)
+        anchor, pos_same, pos_cross = embed([t.anchor, t.pos_same, t.pos_cross])
+        negs_same, negs_cross = embed(t.negs_same), embed(t.negs_cross)
         if baseline:
             l1, l2 = triplet_loss_grad(anchor, pos_same, negs_same[0], STEP_MARGINS.alpha1)[0], 0.0
         else:
@@ -211,19 +210,19 @@ def per_tuple_losses(net, features, sample_ids, batch, baseline):
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("baseline", [False, True])
 def test_batch_step_matches_the_batch_mean_loss(baseline, activation, normalize):
-    features, sample_ids, batch = step_inputs(seed=0)
-    ids = [[t.anchor_id, t.pos_same_id, t.pos_cross_id, *t.neg_same_ids, *t.neg_cross_ids] for t in batch]
-    assert sum(map(len, ids)) > len(set().union(*ids))  # a sample fills more than one slot
-    assert len({len(t.neg_same_ids) for t in batch}) > 1 or len({len(t.neg_cross_ids) for t in batch}) > 1
+    features, batch = step_inputs(seed=0)
+    rows = [[t.anchor, t.pos_same, t.pos_cross, *t.negs_same, *t.negs_cross] for t in batch]
+    assert sum(map(len, rows)) > len(set().union(*rows))  # a sample fills more than one slot
+    assert len({len(t.negs_same) for t in batch}) > 1 or len({len(t.negs_cross) for t in batch}) > 1
     # Wide enough that no sample's ReLUs all die: an all-zero output row is
     # where the normalization jumps, and a difference across it means nothing.
     config = NetConfig(input_dim=3, hidden_dims=(8, 6), embed_dim=3,
                        activation=activation, normalize_output=normalize)
     net = init_net(config, seed=0)
 
-    grad, sums = _batch_step(net, features, sample_ids, batch, STEP_MARGINS, baseline)
+    grad, sums = _batch_step(net, features, _slots(batch, 3), STEP_MARGINS, baseline)
 
-    values = per_tuple_losses(net, features, sample_ids, batch, baseline)
+    values = per_tuple_losses(net, features, batch, baseline)
     hinges = len(batch) * (1 if baseline else 2)
     active = np.count_nonzero(values[:, 1:] > 0)
     assert 0 < active
@@ -231,7 +230,7 @@ def test_batch_step_matches_the_batch_mean_loss(baseline, activation, normalize)
     assert sums[3:].tolist() == [active, hinges]
 
     def mean_loss(params):
-        return per_tuple_losses(EmbeddingNet(config, params), features, sample_ids, batch, baseline)[:, 0].mean()
+        return per_tuple_losses(EmbeddingNet(config, params), features, batch, baseline)[:, 0].mean()
 
     numeric = np.empty_like(net.params)
     for i in range(net.params.size):
@@ -239,3 +238,13 @@ def test_batch_step_matches_the_batch_mean_loss(baseline, activation, normalize)
         step[i] = STEP_H
         numeric[i] = (mean_loss(net.params + step) - mean_loss(net.params - step)) / (2 * STEP_H)
     assert np.abs(grad - numeric).max() <= STEP_REL_TOL * np.abs(numeric).max()
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_batch_step_does_not_depend_on_padding_width(baseline):
+    # `train` pads every negative set to the spec's k, not to the batch's largest set
+    features, batch = step_inputs(seed=0)
+    net = init_net(NetConfig(input_dim=3, hidden_dims=(8, 6), embed_dim=3), seed=0)
+    narrow = _batch_step(net, features, _slots(batch, 3), STEP_MARGINS, baseline)
+    wide = _batch_step(net, features, _slots(batch, 5), STEP_MARGINS, baseline)
+    assert [a.tobytes() for a in narrow] == [a.tobytes() for a in wide]
