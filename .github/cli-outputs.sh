@@ -1,7 +1,8 @@
 #!/bin/sh
-# Runs synth, train, eval and compare with one small config file and writes
-# their nine outputs (listed in the workflow's CLI_OUTPUTS) into DIR, which must
-# not exist yet. SRC is the directory that holds the heteroembed package.
+# Runs synth, train, eval and compare with one small config file, then a train
+# the manifest reader refuses, and writes their ten outputs (listed in the
+# workflow's CLI_OUTPUTS) into DIR, which must not exist yet. SRC is the
+# directory that holds the heteroembed package.
 # Usage: sh .github/cli-outputs.sh SRC DIR
 set -eu
 export PYTHONPATH="$(cd "$1" && pwd)"
@@ -17,3 +18,8 @@ python3 -m heteroembed.cli train --config run.cfg --data data.hem --out net.ckpt
 python3 -m heteroembed.cli eval --checkpoint net.ckpt --config run.cfg --data data.hem \
   --roc-out roc.csv --cmc-out cmc.csv > eval.out
 python3 -m heteroembed.cli compare --config run.cfg --data data.hem > compare.out
+# data.hem with the last line's first feature spelled x: the exit code and the
+# error line go to refusal.out, and the failing command does not stop the script
+sed '$ s/,[^, ]* /,x /' data.hem > bad.hem
+{ python3 -m heteroembed.cli train --config run.cfg --data bad.hem --out bad.ckpt 2>&1 >/dev/null \
+  && echo "exit 0" || echo "exit $?"; } > refusal.out

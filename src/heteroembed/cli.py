@@ -237,8 +237,9 @@ def _check_out_paths(outputs: dict, inputs: dict) -> None:
     """Refuse, before any work starts, an output path the command could not write.
 
     Both dicts map an option name to its path (None where not given). An output
-    that resolves (`os.path.realpath`) to an input or to an earlier output is
-    refused too: the command would overwrite what it reads or writes.
+    with no file name (`''`, `dir/`) is refused, and so is one that resolves
+    (`os.path.realpath`) to an input or to an earlier output: the command would
+    overwrite what it reads or writes.
     """
     taken = {os.path.realpath(path): option for option, path in inputs.items() if path is not None}
     for option, path in outputs.items():
@@ -246,6 +247,8 @@ def _check_out_paths(outputs: dict, inputs: dict) -> None:
             continue
         if os.path.isdir(path):
             raise OSError(f"cannot write {path}: is a directory")
+        if os.path.basename(path) in ("", ".", ".."):
+            raise OSError(f"cannot write {path!r}: {option} names no file")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise OSError(f"cannot write {path}: no directory {parent}")
@@ -281,7 +284,7 @@ def _run_inputs(args, cfg: dict[str, str]) -> tuple[Dataset, TrainConfig, float,
 
 
 def cmd_train(args) -> int:
-    log_path = args.log_out or (str(args.out) + ".log.csv")
+    log_path = str(args.out) + ".log.csv" if args.log_out is None else args.log_out
     _check_out_paths({"--out": args.out, "--log-out": log_path},
                      {"--data": args.data, "--config": args.config})
     dataset, config, train_fraction, _ = _run_inputs(args, _run_config(args))
@@ -311,7 +314,7 @@ def cmd_eval(args) -> int:
     ident, verif, _, _, _ = evaluate_enroll_probe(
         net, test_set, enroll, config.seed, roc_out=args.roc_out
     )
-    if args.cmc_out:
+    if args.cmc_out is not None:
         write_cmc_csv(ident, args.cmc_out)
     for key, value in report_values(ident, verif).items():
         print(f"{key}={value:.9g}")

@@ -9,6 +9,7 @@ Lines starting with '#' are comments; blank lines are skipped.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -77,7 +78,9 @@ def load_manifest(path) -> Dataset:
     """Parse a `.hem` manifest into a Dataset. Ids follow record order from 0.
 
     Lines are numbered as `net.text_lines` splits the text, and the file is
-    parsed MANIFEST_CHUNK_LINES lines at a time.
+    read MANIFEST_CHUNK_LINES lines at a time: each chunk is split once and
+    its features converted in one call. A chunk with a fault is walked line by
+    line, in file order, to name its first bad line.
     """
     lines = text_lines(path)
     header = next(lines, None)
@@ -95,63 +98,42 @@ def load_manifest(path) -> Dataset:
     samples: list[Sample] = []
     lineno = 2
     while chunk := list(islice(lines, MANIFEST_CHUNK_LINES)):
-        parsed = _parse_block(chunk, dim, len(samples))
-        if parsed is None:  # some line is bad: the per-line parser names the first one
-            parsed = _parse_lines(path, chunk, lineno, dim, len(samples))
-        samples.extend(parsed)
+        samples += _parse_chunk(path, chunk, lineno, dim, len(samples))
         lineno += len(chunk)
     if not samples:
         raise ParseError(f"{path}: no data lines")
     return Dataset(samples=samples, feature_dim=dim)
 
 
-def _parse_block(lines: list[str], dim: int, first_id: int) -> list[Sample] | None:
-    """Parse manifest body lines with one float conversion; None if any line is bad."""
-    labels = []
-    tokens: list[str] = []
-    for line in lines:
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            return None
-        feats = parts[2].split()
-        if len(feats) != dim:
-            return None
-        labels.append(parts[:2])
-        tokens.extend(feats)
-    try:
-        block = np.array(tokens, dtype=np.float64).reshape(len(labels), dim)
-    except ValueError:
-        return None
-    if not np.isfinite(block).all():
-        return None
-    return [
-        Sample(first_id + i, identity, domain, block[i])
-        for i, (identity, domain) in enumerate(labels)
-    ]
-
-
-def _parse_lines(path, lines: list[str], first_lineno: int, dim: int, first_id: int) -> list[Sample]:
-    """Parse manifest body lines one by one; the first bad line raises with its line number."""
-    samples = []
+def _parse_chunk(path, lines: list[str], first_lineno: int, dim: int, first_id: int) -> list[Sample]:
+    """The Samples of manifest body lines; the first bad line raises with its line number."""
+    rows, tokens = [], []  # (line number, comma fields, feature tokens) per data line; all tokens
     for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
+        if line.strip() and not line.startswith("#"):
+            fields = line.split(",")
+            feats = fields[-1].split()
+            rows.append((lineno, fields, feats))
+            tokens += feats
+    if all(len(fields) == 3 and len(feats) == dim for _, fields, feats in rows):
+        with suppress(ValueError):  # a token numpy cannot convert: the walk below names its line
+            block = np.array(tokens, dtype=np.float64).reshape(len(rows), dim)
+            if np.isfinite(block).all():
+                return [Sample(first_id + i, f[0], f[1], block[i]) for i, (_, f, _) in enumerate(rows)]
+    for lineno, fields, feats in rows:
+        if len(fields) != 3:
             raise ParseError(f"{path}:{lineno}: expected identity,domain,features")
-        identity, domain, feat_str = parts
         try:
-            feats = np.array([float(v) for v in feat_str.split()], dtype=np.float64)
+            values = [float(t) for t in feats]
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric feature") from exc
-        if feats.size != dim:
-            raise ShapeError(f"{path}:{lineno}: {feats.size} features, expected {dim}")
-        if not np.all(np.isfinite(feats)):
+        if len(values) != dim:
+            raise ShapeError(f"{path}:{lineno}: {len(values)} features, expected {dim}")
+        if not all(map(math.isfinite, values)):
             raise ParseError(f"{path}:{lineno}: non-finite feature")
-        samples.append(Sample(first_id + len(samples), identity, domain, feats))
-    return samples
+    # numpy converts exactly the spellings `float` reads: a chunk refused as a
+    # block holds a bad line. Should the two ever differ, fail loudly, not partly.
+    raise ParseError(f"{path}:{first_lineno}-{first_lineno + len(lines) - 1}: "
+                     "chunk refused as a block, yet every line in it parses")
 
 
 def save_manifest(dataset: Dataset, path) -> None:

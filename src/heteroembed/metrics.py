@@ -116,15 +116,20 @@ def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
 def _labeled_blocks(dist, probe_identities: list, gallery_identities: list):
     """(genuine entries per probe, blocks) for `dist` and its label lists, coded once.
 
+    Labels match by `==`, as a dict's keys do: each is coded by its first
+    occurrence, so any hashable label works and `1` never matches `'1'`.
     `blocks` yields `(rows, dist[rows], same)` over float64 row slices of about
     BLOCK entries; `same` marks the same-identity entries.
     """
     dist = np.asarray(dist, dtype=np.float64)
     if dist.shape != (len(probe_identities), len(gallery_identities)):
         raise ShapeError("distance matrix does not match label lists")
-    _, codes = np.unique(np.asarray(probe_identities + gallery_identities), return_inverse=True)
-    probe_codes, gallery_codes = np.split(codes, [len(probe_identities)])
-    per_probe = np.bincount(gallery_codes, minlength=codes.size)[probe_codes]
+    codes: dict = {}
+    probe_codes, gallery_codes = (
+        np.array([codes.setdefault(label, len(codes)) for label in labels], dtype=np.intp)
+        for labels in (probe_identities, gallery_identities)
+    )
+    per_probe = np.bincount(gallery_codes, minlength=len(codes))[probe_codes]
     step = max(1, BLOCK // max(1, dist.shape[1]))
     rows = (slice(i, i + step) for i in range(0, dist.shape[0], step))
     return per_probe, ((r, dist[r], probe_codes[r, None] == gallery_codes) for r in rows)

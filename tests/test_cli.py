@@ -1012,6 +1012,35 @@ class TestCollidingPaths:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+class TestOutputWithoutFileName:
+    """An output path with no file name (`''`, `dir/`, `dir/.`, `dir/..`): exit 2 before any work, nothing written."""
+
+    @pytest.mark.parametrize("path", ["", "nodir" + os.sep, os.path.join("nodir", "."), os.path.join("nodir", "..")],
+                             ids=["empty", "trailing_separator", "dot", "dot_dot"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--config", "synth.cfg", "--out", "{out}"],
+            ["train", "--config", "run.cfg", "--data", "data.hem", "--out", "{out}"],
+            ["train", "--config", "run.cfg", "--data", "data.hem", "--out", "n.ckpt", "--log-out", "{out}"],
+            ["eval", "--checkpoint", "net.ckpt", "--config", "run.cfg", "--data", "data.hem", "--roc-out", "{out}"],
+            ["eval", "--checkpoint", "net.ckpt", "--config", "run.cfg", "--data", "data.hem", "--cmc-out", "{out}"],
+        ],
+        ids=["synth_out", "train_out", "train_log_out", "eval_roc_out", "eval_cmc_out"],
+    )
+    def test_exit_2_nothing_written(self, tmp_path, small_manifest, monkeypatch, argv, path):
+        for name in ("generate_synthetic", "train", "evaluate_enroll_probe"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.chdir(tmp_path)  # the relative paths, `''` among them, name files here
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), tmp_path / "net.ckpt")
+        write(tmp_path / "run.cfg", SMALL_RUN)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        code, out, err = run_main([a.format(out=path) for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 class TestCompare:
     def test_reports_and_determinism(self, tmp_path, small_manifest, capsys):
         cfg = write(tmp_path / "run.cfg", SMALL_RUN)

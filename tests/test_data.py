@@ -203,6 +203,31 @@ class TestLoadManifest:
         assert [s.id for s in ds.samples] == list(range(2 * hdata.MANIFEST_CHUNK_LINES + 5))
         assert_same_outcome(path)
 
+    def test_bad_line_refused_before_the_rest_is_read(self, tmp_path, monkeypatch):
+        taken, text_lines = 0, hdata.text_lines
+
+        def counting(path):
+            nonlocal taken
+            for line in text_lines(path):
+                taken += 1
+                yield line
+
+        good = [f"s{i},A,{i} 2 3" for i in range(10 * hdata.MANIFEST_CHUNK_LINES)]
+        path = write_manifest(tmp_path, ["s,A,1 2 3", "s,A,1 x 3"] + good)
+        monkeypatch.setattr(hdata, "text_lines", counting)
+        with pytest.raises(ParseError, match=":3: non-numeric feature"):
+            load_manifest(path)
+        assert 3 <= taken <= 1 + hdata.MANIFEST_CHUNK_LINES
+
+    def test_chunk_no_line_of_which_is_bad_fails_loudly(self, tmp_path, monkeypatch):
+        # numpy and `float` read the same spellings; were a chunk refused as a block
+        # with no bad line, the reader must raise, not return part of the file
+        path = write_manifest(tmp_path, ["s1,A,1 2 3", "# c", "s2,A,4 5 6"])
+        monkeypatch.setattr(hdata.np, "isfinite", lambda a: np.zeros(np.shape(a), dtype=bool))
+        with pytest.raises(ParseError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}:2-4: chunk refused as a block, yet every line in it parses"
+
     def test_manifest_io_holds_one_chunk_at_a_time(self, tmp_path):
         # 10 000 lines of 16 features: the whole file's Python strings and floats
         # at once would take about 20 MB to read and 7 MB to write.

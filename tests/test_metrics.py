@@ -269,6 +269,47 @@ class TestIdentify:
         assert report.rank_accuracies[-1] == 1.0
 
 
+class TestLabelsMatchByEquality:
+    """`identify` and `verification_scores` pair labels as `==` does, the CLI's label check's rule."""
+
+    DIST = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+    def test_int_never_matches_its_string(self):
+        with pytest.raises(ValueError, match="probe identity 1 has no sample in the gallery"):
+            identify(self.DIST, [1, 2], ["1", "2"])
+        with pytest.raises(ValueError, match="genuine and impostor sets must be nonempty"):
+            verification_scores(self.DIST, [1, 2], ["1", "2"])  # no pair is genuine
+
+    def test_bool_never_matches_its_string(self):
+        probes, gallery = [True, "True"], ["True", True]
+        np.testing.assert_array_equal(identify(self.DIST, probes, gallery).rank_accuracies, [0.0, 1.0])
+        scores = verification_scores(self.DIST, probes, gallery)
+        np.testing.assert_array_equal(scores.genuine, [1.0, 1.0])
+        np.testing.assert_array_equal(scores.impostor, [0.0, 0.0])
+
+    def test_tuple_labels(self):
+        probes, gallery = [("a", 1), ("b", 2)], [("b", 2), ("a", 1)]
+        np.testing.assert_array_equal(identify(self.DIST, probes, gallery).rank_accuracies, [0.0, 1.0])
+        scores = verification_scores(self.DIST, probes, gallery)
+        np.testing.assert_array_equal(scores.genuine, [1.0, 1.0])
+        np.testing.assert_array_equal(scores.impostor, [0.0, 0.0])
+
+    def test_mixed_hashable_labels_match_brute_force(self):
+        # 1, 1.0 and True are equal, and so are (1,) and (True,); "1", None and 2 match only themselves
+        pool = [1, 1.0, True, "1", None, 2, (1,), (True,), ("a", 1), frozenset({3})]
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            gallery_ids = [pool[i] for i in rng.integers(0, len(pool), size=9)]
+            probe_ids = [gallery_ids[i] for i in rng.integers(0, 9, size=6)]
+            dist = rng.choice([0.0, 1.0, 2.0, 3.0], size=(6, 9))
+            np.testing.assert_array_equal(identify(dist, probe_ids, gallery_ids).rank_accuracies,
+                                          brute_cmc(dist, probe_ids, gallery_ids))
+            same = np.array([[p == g for g in gallery_ids] for p in probe_ids])
+            scores = verification_scores(dist, probe_ids, gallery_ids)
+            assert scores.genuine.tobytes() == np.sort(dist[same]).tobytes()
+            assert scores.impostor.tobytes() == np.sort(dist[~same]).tobytes()
+
+
 # --- verification -----------------------------------------------------------
 
 
