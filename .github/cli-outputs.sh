@@ -1,8 +1,9 @@
 #!/bin/sh
-# Runs synth, train, eval and compare with one small config file, then a train
-# the manifest reader refuses, and writes their ten outputs (listed in the
-# workflow's CLI_OUTPUTS) into DIR, which must not exist yet. SRC is the
-# directory that holds the heteroembed package.
+# Runs synth, train, eval and compare with one small config file, a train with
+# a tuple.k above every group's size, then a train the manifest reader refuses
+# and a synth with an empty --config, and writes their twelve outputs (listed
+# in the workflow's CLI_OUTPUTS) into DIR, which must not exist yet. SRC is
+# the directory that holds the heteroembed package.
 # Usage: sh .github/cli-outputs.sh SRC DIR
 set -eu
 export PYTHONPATH="$(cd "$1" && pwd)"
@@ -18,8 +19,16 @@ python3 -m heteroembed.cli train --config run.cfg --data data.hem --out net.ckpt
 python3 -m heteroembed.cli eval --checkpoint net.ckpt --config run.cfg --data data.hem \
   --roc-out roc.csv --cmc-out cmc.csv > eval.out
 python3 -m heteroembed.cli compare --config run.cfg --data data.hem > compare.out
+# 4 samples per group: tuple.k=4096 draws what the default k=4 draws, so
+# wide.ckpt and wide.log.csv equal net.ckpt and train.log.csv
+{ cat run.cfg; echo tuple.k=4096; } > wide.cfg
+python3 -m heteroembed.cli train --config wide.cfg --data data.hem --out wide.ckpt \
+  --log-out wide.log.csv > /dev/null
 # data.hem with the last line's first feature spelled x: the exit code and the
 # error line go to refusal.out, and the failing command does not stop the script
 sed '$ s/,[^, ]* /,x /' data.hem > bad.hem
 { python3 -m heteroembed.cli train --config run.cfg --data bad.hem --out bad.ckpt 2>&1 >/dev/null \
   && echo "exit 0" || echo "exit $?"; } > refusal.out
+# an empty --config is a path that cannot be opened, not a missing option
+{ python3 -m heteroembed.cli synth --config '' --out empty.hem 2>&1 >/dev/null \
+  && echo "exit 0" || echo "exit $?"; } >> refusal.out

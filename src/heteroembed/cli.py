@@ -258,23 +258,22 @@ def _check_out_paths(outputs: dict, inputs: dict) -> None:
         taken[real] = option
 
 
+def _config(args, schema: dict) -> dict[str, str]:
+    """Read `--config`, when given, and check its keys and values, before any input file is opened."""
+    cfg = {} if args.config is None else parse_config_file(args.config)
+    _fields(cfg, schema)  # a config class's own refusal waits for `*_config_from`
+    return cfg
+
+
 def cmd_synth(args) -> int:
     _check_out_paths({"--out": args.out}, {"--config": args.config})
-    cfg = parse_config_file(args.config) if args.config else {}
-    config = synth_config_from(cfg, seed_override=args.seed)
+    config = synth_config_from(_config(args, SYNTH_KEYS), seed_override=args.seed)
     dataset = generate_synthetic(config)
     save_manifest(dataset, args.out)
     print(f"samples={len(dataset)}")
     print(f"identities={len(dataset.identities())}")
     print(f"domains={len(dataset.domains())}")
     return 0
-
-
-def _run_config(args) -> dict[str, str]:
-    """Read `--config` and check its keys and values, before any input file is opened."""
-    cfg = parse_config_file(args.config) if args.config else {}
-    _fields(cfg, RUN_KEYS)  # a config class's own refusal waits for `run_config_from`
-    return cfg
 
 
 def _run_inputs(args, cfg: dict[str, str]) -> tuple[Dataset, TrainConfig, float, int]:
@@ -287,7 +286,7 @@ def cmd_train(args) -> int:
     log_path = str(args.out) + ".log.csv" if args.log_out is None else args.log_out
     _check_out_paths({"--out": args.out, "--log-out": log_path},
                      {"--data": args.data, "--config": args.config})
-    dataset, config, train_fraction, _ = _run_inputs(args, _run_config(args))
+    dataset, config, train_fraction, _ = _run_inputs(args, _config(args, RUN_KEYS))
     train_set, _ = split_by_identity(dataset, train_fraction, config.seed)
     net, log = train(train_set, config)
     save_checkpoint(net, args.out)
@@ -302,7 +301,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _check_out_paths({"--roc-out": args.roc_out, "--cmc-out": args.cmc_out},
                      {"--checkpoint": args.checkpoint, "--data": args.data, "--config": args.config})
-    cfg = _run_config(args)
+    cfg = _config(args, RUN_KEYS)
     net = load_checkpoint(args.checkpoint)
     dataset, config, train_fraction, enroll = _run_inputs(args, cfg)
     if dataset.feature_dim != net.config.input_dim:
@@ -354,7 +353,7 @@ def run_compare(dataset: Dataset, config: TrainConfig, train_fraction: float, en
 
 
 def cmd_compare(args) -> int:
-    dataset, config, train_fraction, enroll = _run_inputs(args, _run_config(args))
+    dataset, config, train_fraction, enroll = _run_inputs(args, _config(args, RUN_KEYS))
     results = run_compare(dataset, config, train_fraction, enroll)
     for key in sorted(results):
         print(f"{key}={results[key]:.9g}")

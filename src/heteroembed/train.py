@@ -80,8 +80,9 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
-def _slots(tuples: list[SampledTuple], k: int) -> np.ndarray:
-    """One row per tuple: anchor, same- and cross-domain positives, then each negative set padded to k with -1."""
+def _slots(tuples: list[SampledTuple]) -> np.ndarray:
+    """One row per tuple: anchor, same- and cross-domain positives, then each negative set -1-padded to the widest."""
+    k = max(len(negs) for t in tuples for negs in (t.negs_same, t.negs_cross))
     pad = lambda rows: [*rows, *[-1] * (k - len(rows))]
     return np.array([[t.anchor, t.pos_same, t.pos_cross, *pad(t.negs_same), *pad(t.negs_cross)] for t in tuples])
 
@@ -90,9 +91,10 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
     """Returns the flat gradient and the sums (loss, l1, l2, active hinges, hinges).
 
     `slots` is a block of `_slots`' table of `features` rows, -1 marking an empty
-    slot. The baseline uses only the anchor, the same-domain positive and the
-    first same-domain negative. Every slot in use is one forward row, in slot
-    order, so a sample in two slots sums both gradients.
+    slot; each negative set takes half of the columns after the first three.
+    The baseline uses only the anchor, the same-domain positive and the first
+    same-domain negative. Every slot in use is one forward row, in row-major
+    slot order, so a sample in two slots sums both gradients.
     """
     in_use = slots >= 0
     k = (slots.shape[1] - 3) // 2
@@ -100,10 +102,9 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
     n_same, n_cross = in_use[:, same].sum(axis=1), in_use[:, cross].sum(axis=1)
     if baseline:
         in_use[:, 2] = in_use[:, 4:] = False
-    rows = np.zeros(slots.shape, dtype=np.intp)
-    rows[in_use] = np.arange(np.count_nonzero(in_use))
     X = features[slots[in_use]]
-    E = forward_batch(net, X)[rows]
+    E = np.zeros((*slots.shape, net.config.embed_dim))
+    E[in_use] = forward_batch(net, X)  # the mask fills in the row-major order it read X in
 
     G = np.zeros_like(E)
     if baseline:
@@ -141,8 +142,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, Training
     log = TrainingLog()
 
     for epoch in range(config.epochs):
-        slots = _slots(epoch_tuples(index, sampler_rng, config.tuple_spec, config.tuples_per_epoch),
-                       config.tuple_spec.k)
+        slots = _slots(epoch_tuples(index, sampler_rng, config.tuple_spec, config.tuples_per_epoch))
         totals = np.zeros(5)  # running sums in batch order, as `_batch_step` returns them
         for start in range(0, len(slots), config.batch_size):
             block = slots[start : start + config.batch_size]

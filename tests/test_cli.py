@@ -876,6 +876,24 @@ class TestMissingConfig:
         assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: '{cfg}'\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        ["synth --config {cfg} --out {tmp}/out",
+         "train --config {cfg} --data {data} --out {tmp}/out",
+         "eval --checkpoint {ckpt} --config {cfg} --data {data} --roc-out {tmp}/out",
+         "compare --config {cfg} --data {data}"],
+    )
+    def test_empty_path_is_read_not_ignored(self, tmp_path, small_manifest, monkeypatch, argv):
+        for name in ("generate_synthetic", "train", "run_compare", "evaluate_enroll_probe"):
+            monkeypatch.setattr(f"heteroembed.cli.{name}", lambda *a, **k: pytest.fail("ran"))
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4), 0), ckpt)
+        # split before formatting, so `{cfg}` stays one (empty) argument
+        code, out, err = run_main([word.format(cfg="", data=small_manifest, ckpt=ckpt, tmp=tmp_path)
+                                   for word in argv.split()])
+        assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestOneConfigFile:
     """One config file serves all four commands: each parses its own keys and skips the other

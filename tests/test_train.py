@@ -6,7 +6,7 @@ import pytest
 
 from heteroembed.data import Dataset, DomainShift, SynthConfig, generate_synthetic
 from heteroembed.loss import EmbeddingTuple, Margins, hetero_loss_grad, triplet_loss_grad
-from heteroembed.net import EmbeddingNet, NetConfig, forward_batch, init_net
+from heteroembed.net import EmbeddingNet, NetConfig, forward_batch, init_net, save_checkpoint
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
 from heteroembed.train import NumericalError, TrainConfig, _batch_step, _slots, train
 
@@ -220,7 +220,7 @@ def test_batch_step_matches_the_batch_mean_loss(baseline, activation, normalize)
                        activation=activation, normalize_output=normalize)
     net = init_net(config, seed=0)
 
-    grad, sums = _batch_step(net, features, _slots(batch, 3), STEP_MARGINS, baseline)
+    grad, sums = _batch_step(net, features, _slots(batch), STEP_MARGINS, baseline)
 
     values = per_tuple_losses(net, features, batch, baseline)
     hinges = len(batch) * (1 if baseline else 2)
@@ -242,9 +242,46 @@ def test_batch_step_matches_the_batch_mean_loss(baseline, activation, normalize)
 
 @pytest.mark.parametrize("baseline", [False, True])
 def test_batch_step_does_not_depend_on_padding_width(baseline):
-    # `train` pads every negative set to the spec's k, not to the batch's largest set
+    # `train` pads every negative set to the widest set of the epoch, not of the block
     features, batch = step_inputs(seed=0)
     net = init_net(NetConfig(input_dim=3, hidden_dims=(8, 6), embed_dim=3), seed=0)
-    narrow = _batch_step(net, features, _slots(batch, 3), STEP_MARGINS, baseline)
-    wide = _batch_step(net, features, _slots(batch, 5), STEP_MARGINS, baseline)
-    assert [a.tobytes() for a in narrow] == [a.tobytes() for a in wide]
+    table = _slots(batch)
+    k = (table.shape[1] - 3) // 2
+    pad = np.full((len(table), 2), -1)
+    wide = np.hstack([table[:, : 3 + k], pad, table[:, 3 + k :], pad])
+    narrow_step = _batch_step(net, features, table, STEP_MARGINS, baseline)
+    wide_step = _batch_step(net, features, wide, STEP_MARGINS, baseline)
+    assert [a.tobytes() for a in narrow_step] == [a.tobytes() for a in wide_step]
+
+
+def test_slots_are_as_wide_as_the_widest_set_drawn():
+    # groups of 3 and one of 2 samples: every set is narrower than the spec's k
+    data = generate_synthetic(SynthConfig(n_identities=4, samples_per_identity_per_domain=3, feature_dim=3))
+    data = Dataset(data.samples[1:], data.feature_dim)
+    tuples = epoch_tuples(build_index(data), np.random.default_rng(0), TupleSpec(k=5), 40)
+    widest = max(len(negs) for t in tuples for negs in (t.negs_same, t.negs_cross))
+    assert widest == 3 and any(len(t.negs_same) < 3 or len(t.negs_cross) < 3 for t in tuples)
+    table = _slots(tuples)
+    assert table.shape == (40, 3 + 2 * widest)
+    for t, row in zip(tuples, table.tolist()):
+        pad = lambda negs: negs + [-1] * (widest - len(negs))
+        assert row == [t.anchor, t.pos_same, t.pos_cross, *pad(t.negs_same), *pad(t.negs_cross)]
+
+
+def test_k_above_every_group_costs_nothing(tmp_path, monkeypatch):
+    # 5 samples per group: k=50 draws what k=5 draws, into a table as narrow
+    widths = []
+
+    def recorded(net, features, slots, *args):
+        widths.append(slots.shape[1])
+        return _batch_step(net, features, slots, *args)
+
+    monkeypatch.setattr(importlib.import_module("heteroembed.train"), "_batch_step", recorded)
+    outputs = []
+    for k in (5, 50):
+        net, log = train(small_dataset(), small_config(tuple_spec=TupleSpec(k=k)))
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        log.write_csv(tmp_path / "log.csv")
+        outputs.append([(tmp_path / name).read_bytes() for name in ("net.ckpt", "log.csv")])
+    assert set(widths) == {13}
+    assert outputs[0] == outputs[1]
