@@ -1,9 +1,9 @@
 """Small feed-forward embedding network with manual backprop, plus Adam.
 
-The network is a stack of dense layers (ReLU or tanh between hidden
-layers, linear output) with optional L2 normalization of the output
-embedding. Everything operates on float64 numpy arrays and is fully
-deterministic given a seed.
+The network is a stack of dense layers (an `ACTIVATIONS` entry between hidden
+layers, linear output). With `normalize_output`, each output row u is divided by
+sqrt(|u|² + NORM_GUARD²), its L2 norm to the bit for |u|² >= 2**-26; an overflowed
+row gives NaN. Everything is float64 numpy arrays, fully deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import NoReturn
 import numpy as np
 
 NORM_GUARD = 1e-12
+# Each activation: the function, and its slope written in terms of the function's output.
+ACTIVATIONS = {"relu": (lambda z: np.maximum(z, 0.0), lambda h: h > 0), "tanh": (np.tanh, lambda h: 1.0 - h**2)}
 
 
 class ShapeError(ValueError):
@@ -100,7 +102,7 @@ class NetConfig:
         for i, d in enumerate(self.hidden_dims):
             check_field(f"hidden_dims[{i}]", d, 1)
         check_field("embed_dim", self.embed_dim, 1)
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in tuple(ACTIVATIONS):  # a tuple: an unhashable value is refused, not a TypeError
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not isinstance(self.normalize_output, (bool, np.bool_)):
             raise ConfigError(f"normalize_output must be a bool, got {self.normalize_output!r}")
@@ -160,27 +162,22 @@ def init_net(config: NetConfig, seed: int) -> EmbeddingNet:
     return net
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
 def _layers(net: EmbeddingNet, inputs: np.ndarray) -> tuple[list, list]:
     """Each layer's input and pre-activation, input to output; the output layer is linear."""
+    activate = ACTIVATIONS[net.config.activation][0]
     acts, pre = [], []
     for w, b in net._views():
-        acts.append(_activate(pre[-1], net.config.activation) if pre else inputs)
+        acts.append(activate(pre[-1]) if pre else inputs)
         pre.append(acts[-1] @ w.T + b)
     return acts, pre
 
 
 def _normalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of `u` over their L2 norms, and the norms. A row with norm <= NORM_GUARD
-    stays as it is; an overflowed norm gives NaN, not a silent zero row."""
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    scale = np.where(norms > NORM_GUARD, norms, 1.0)
-    return u / np.where(np.isinf(norms), np.nan, scale), norms
+    """Each row of `u` over s = sqrt(|u|² + NORM_GUARD²), and the scales s: the L2 norm to the bit for
+    |u|² >= 2**-26, and a zero row maps to zero; an overflowed s gives NaN, not a silent zero row."""
+    scale = np.sqrt(np.sum(u * u, axis=1, keepdims=True) + NORM_GUARD**2)
+    scale[np.isinf(scale)] = np.nan
+    return u / scale, scale
 
 
 def _rows(batch, kind: str, field: str, width: int) -> np.ndarray:
@@ -204,9 +201,8 @@ def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
 def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray) -> np.ndarray:
     """Gradient of sum_i <grad_i, g(x_i)> w.r.t. the parameters.
 
-    Returns one flat vector laid out as `net.params`. Includes the Jacobian
-    of the output L2 normalization when it is enabled; near-zero
-    pre-normalization outputs pass through as identity (matching forward's guard).
+    Returns one flat vector laid out as `net.params`. With `normalize_output`,
+    it applies the exact Jacobian of `_normalize`'s u / s: (g - <g, y> y) / s.
     """
     inputs = _rows(inputs, "input", "input_dim", net.config.input_dim)
     grad_embeddings = _rows(grad_embeddings, "gradient", "embed_dim", net.config.embed_dim)
@@ -217,19 +213,15 @@ def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray)
     weights = net.weights
     g = grad_embeddings
     if net.config.normalize_output:
-        y, norms = _normalize(pre[-1])
-        safe = norms > NORM_GUARD
-        # d/du (u/|u|) applied to g: (g - <g,y> y) / |u|
-        proj = np.sum(g * y, axis=1, keepdims=True)
-        g = np.where(safe, (g - proj * y) / np.where(safe, norms, 1.0), g)
+        y, scale = _normalize(pre[-1])
+        g = (g - np.sum(g * y, axis=1, keepdims=True) * y) / scale
 
+    slope = ACTIVATIONS[net.config.activation][1]
     parts = []  # weight and bias gradients, input to output
     for i in reversed(range(len(pre))):
         parts[:0] = [(g.T @ acts[i]).ravel(), g.sum(axis=0)]
         if i:
-            h = acts[i]  # the activation of pre[i - 1]
-            slope = (h > 0) if net.config.activation == "relu" else 1.0 - h**2
-            g = (g @ weights[i]) * slope
+            g = (g @ weights[i]) * slope(acts[i])  # acts[i] is the activation of pre[i - 1]
     return np.concatenate(parts)
 
 

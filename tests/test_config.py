@@ -3,8 +3,8 @@
 A count must pass `operator.index`, not be a bool, and reach its minimum; a real must be a
 number and finite, and the margins, `learning_rate` and `train_fraction` must
 also lie in their intervals. A failure is one ValueError (a `ConfigError`)
-naming the field and the value. `NetConfig` also refuses a `hidden_dims` that is not a sequence and a
-`normalize_output` that is not a bool.
+naming the field and the value. `NetConfig` also refuses a `hidden_dims` that is not a sequence, a
+`normalize_output` that is not a bool and an activation that `net.ACTIVATIONS` lacks.
 """
 
 import math
@@ -148,6 +148,14 @@ def test_normalize_output_must_be_a_bool(value):
     with pytest.raises(ConfigError) as info:
         NetConfig(input_dim=2, normalize_output=value)
     assert str(info.value) == f"normalize_output must be a bool, got {value!r}"
+
+
+@pytest.mark.parametrize("value", ["gelu", "RELU", ["relu"], None])
+def test_activation_not_in_the_table_refused(value):
+    # a list is unhashable, and is refused like any other value the table lacks
+    with pytest.raises(ConfigError) as info:
+        NetConfig(input_dim=2, activation=value)
+    assert str(info.value) == f"unknown activation {value!r}"
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])

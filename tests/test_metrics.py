@@ -357,7 +357,8 @@ class TestScoreSet:
     @pytest.mark.parametrize("side", ["genuine", "impostor"])
     @pytest.mark.parametrize("scores,dtype", [
         (["a"], "<U1"), ([1j], "complex128"), ([{}], "object"), (["0.5"], "<U3"), ([b"1"], "|S1"),
-        ([True], "bool"), ([[0.1], [0.2, 0.3]], "object"),  # the last one ragged
+        ([True], "bool"), ([[0.1], [0.2, 0.3]], "object"),  # ragged
+        ([10**30], "object"),  # a Python int beyond int64
     ])
     def test_scores_not_real_numbers_refused(self, side, scores, dtype):
         sets = {"genuine": [0.1, 0.2], "impostor": [0.5]}

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from heteroembed.net import (
+    ACTIVATIONS,
+    NORM_GUARD,
     AdamState,
     ConfigError,
     EmbeddingNet,
@@ -207,22 +209,20 @@ class TestBackward:
         np.testing.assert_allclose(grad.weights[0], np.outer(v, x))
         np.testing.assert_allclose(grad.biases[0], v)
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_matches_finite_differences(self, activation, normalize):
-        cfg = NetConfig(
-            input_dim=5,
-            hidden_dims=(6, 4),
-            embed_dim=3,
-            activation=activation,
-            normalize_output=normalize,
-        )
-        net = init_net(cfg, 11)
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((4, 5))
-        G = rng.standard_normal((4, 3))
+    def test_zero_row_embeds_to_zero_and_scales_its_gradient(self):
+        # a pre-normalization row of exactly zero: the smooth scale is NORM_GUARD,
+        # so the row embeds to zero and its gradient is scaled by 1/NORM_GUARD
+        net = identity_net(2, normalize=True)
+        net.weights[0][...] = 0.0
+        x, g = np.array([[1.0, 2.0]]), np.array([[3.0, -5.0]])
+        assert forward_batch(net, x).tolist() == [[0.0, 0.0]]
+        grad = EmbeddingNet(net.config, backward(net, x, g))
+        assert grad.biases[0].tolist() == (g[0] / NORM_GUARD).tolist()
+        assert grad.weights[0].tolist() == np.outer(g[0] / NORM_GUARD, x[0]).tolist()
+
+    @staticmethod
+    def assert_central_differences(net, X, G, h):
         analytic = backward(net, X, G)
-        h = 1e-5
         p = net.params
         for idx in range(p.size):
             old = p[idx]
@@ -233,6 +233,29 @@ class TestBackward:
             p[idx] = old
             fd = (f_plus - f_minus) / (2 * h)
             assert abs(fd - analytic[idx]) <= 1e-4 * max(1.0, abs(fd))
+
+    @staticmethod
+    def fd_case(activation, normalize):
+        cfg = NetConfig(input_dim=5, hidden_dims=(6, 4), embed_dim=3, activation=activation,
+                        normalize_output=normalize)
+        rng = np.random.default_rng(12)
+        return init_net(cfg, 11), rng.standard_normal((4, 5)), rng.standard_normal((4, 3))
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_matches_finite_differences(self, activation, normalize):
+        self.assert_central_differences(*self.fd_case(activation, normalize), h=1e-5)
+
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_matches_finite_differences_at_a_tiny_output_norm(self, activation):
+        # output rows of norm ~1e-5: |u|² is below 2**-26, where the smooth scale
+        # and the norm may round apart; the step is scaled to that norm
+        net, X, G = self.fd_case(activation, normalize=True)
+        net.weights[-1][...] *= 1e-5
+        u = forward_batch(EmbeddingNet(replace(net.config, normalize_output=False), net.params), X)
+        squares = np.sum(u * u, axis=1)
+        assert (squares < 2**-26).all() and (squares > 1e-14).all()
+        self.assert_central_differences(net, X, G, h=1e-3 * np.sqrt(squares.min()))
 
 
 @dataclass
