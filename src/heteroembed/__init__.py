@@ -1,7 +1,7 @@
 """Heterogeneity-aware metric learning on (identity, domain)-labeled features."""
 
 from .data import Dataset, Sample, SynthConfig, generate_synthetic, load_manifest
-from .loss import EmbeddingTuple, Margins, hetero_loss_grad, triplet_loss_grad
+from .loss import Margins, hetero_loss_grad, triplet_loss_grad
 from .net import AdamState, EmbeddingNet, NetConfig, init_net
 from .sampler import TupleSpec, build_index
 from .train import TrainConfig, train
@@ -10,7 +10,6 @@ __all__ = [
     "AdamState",
     "Dataset",
     "EmbeddingNet",
-    "EmbeddingTuple",
     "Margins",
     "NetConfig",
     "Sample",

@@ -1,14 +1,14 @@
 """Margin losses over embedding tuples: one function per loss, returning its value and gradients.
 
-`hetero_loss_grad` sums the within-domain term L1 and the cross-domain term
+`hetero_loss_grad` gives the within-domain term L1 and the cross-domain term
 L2, each measured against a mean negative; `triplet_loss_grad` is the
 single-negative baseline. Distances are squared Euclidean throughout; each
 hinge is clipped to 0 independently and contributes gradient only when
 strictly active.
 
-Inputs may carry leading batch dimensions: vectors (..., D), negative
-sets (..., K, D) or lists of K vectors; values and gradients then come
-batch-shaped. One kernel, `_hinge`, serves every loss.
+One kernel, `_hinge`, serves every loss: T hinge terms stacked on the axis
+before the last, positives (..., T, D) and negative sets (..., T, K, D) against
+one anchor (..., D), with any leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -32,33 +32,6 @@ class Margins:
                 raise ConfigError(f"{name} must be >= 0, got {value!r}")
 
 
-@dataclass
-class EmbeddingTuple:
-    """Anchor, same/cross-domain positives, and per-domain negative sets.
-
-    All negatives come from a single negative identity (enforced by the
-    sampler, not here). In a batch whose tuples have fewer negatives than
-    the sets' K, `n_same`/`n_cross` (batch-shaped ints) count the leading
-    negatives in use, 1 to K; None means all K. A loss returns its gradients in the
-    same layout, each in the field of the embedding it belongs to.
-    """
-
-    anchor: np.ndarray
-    pos_same: np.ndarray
-    pos_cross: np.ndarray
-    negs_same: list[np.ndarray] | np.ndarray
-    negs_cross: list[np.ndarray] | np.ndarray
-    n_same: np.ndarray | None = None
-    n_cross: np.ndarray | None = None
-
-
-@dataclass
-class LossValue:
-    l1: np.ndarray
-    l2: np.ndarray
-    total: np.ndarray
-
-
 def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeError(f"dim mismatch {x.shape} vs {y.shape}")
@@ -79,12 +52,13 @@ def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
     if count is None:
         return vectors, np.ones(vectors.shape[:-1], dtype=bool)
     count, k = np.asarray(count), vectors.shape[-2]
-    in_use = np.arange(k) < count[..., None]
-    if in_use.shape != vectors.shape[:-1] or not in_use[..., 0].all():
+    if count.shape != vectors.shape[:-2]:
+        raise ShapeError(f"count shape {count.shape} does not match the sets' leading shape {vectors.shape[:-2]}")
+    if (count < 1).any():
         raise ValueError("each negative set needs a count >= 1")
     if (count > k).any():
         raise ValueError(f"each negative set needs a count <= K={k}, got {count.max()}")
-    return vectors, in_use
+    return vectors, np.arange(k) < count[..., None]
 
 
 def mean_embedding(vectors, count=None) -> np.ndarray:
@@ -107,42 +81,46 @@ def mean_embedding(vectors, count=None) -> np.ndarray:
     return total / n
 
 
-def _hinge(anchor, pos, negs, count, alpha: float):
-    """max(0, d2(a,p) - d2(a, mean negative) + alpha) and its subgradients.
+def _hinge(anchor, pos, negs, count, margins):
+    """max(0, d2(a, p) - d2(a, mean negative) + alpha) of each of T stacked terms, and its subgradients.
 
-    Returns (loss, d_anchor, d_pos, d_negs). A NaN argument stays NaN. An
-    inactive hinge (argument <= 0) has zero gradient; each negative in use
-    receives 1/k of the mean's gradient.
+    `anchor` (..., D) serves every term; `pos` is (..., T, D), `negs` (..., T, K, D),
+    `count` (..., T) or None for all K, and `margins` (T,) or a scalar. Returns
+    (loss (..., T), d_anchor (..., T, D) per term, d_pos, d_negs). A NaN argument
+    stays NaN. An inactive hinge (argument <= 0) has zero gradient; each negative
+    in use receives 1/k of the mean's gradient.
     """
+    anchor, pos = np.asarray(anchor), np.asarray(pos)
+    if anchor.shape[-1:] != pos.shape[-1:]:
+        raise ShapeError(f"dim mismatch {anchor.shape} vs {pos.shape}")
+    a = np.broadcast_to(anchor[..., None, :], pos.shape)
     negs, in_use = _as_set(negs, count)
     m = mean_embedding(negs, count)
-    loss = np.maximum(0.0, _sqdist(anchor, pos) - _sqdist(anchor, m) + alpha)
+    loss = np.maximum(0.0, _sqdist(a, pos) - _sqdist(a, m) + margins)
     on = (loss > 0)[..., None]
     d_anchor = np.where(on, 2.0 * (m - pos), 0.0)
-    d_pos = np.where(on, -2.0 * (anchor - pos), 0.0)
-    per_neg = np.where(on, 2.0 * (anchor - m) / in_use.sum(axis=-1)[..., None], 0.0)
+    d_pos = np.where(on, -2.0 * (a - pos), 0.0)
+    per_neg = np.where(on, 2.0 * (a - m) / in_use.sum(axis=-1)[..., None], 0.0)
     d_negs = np.where(in_use[..., None], per_neg[..., None, :], 0.0)
     return loss, d_anchor, d_pos, d_negs
 
 
 def triplet_loss_grad(anchor, positive, negative, alpha: float):
-    """Loss and subgradients (val, d_a, d_p, d_n) of the single-negative baseline."""
-    negs = np.asarray(negative)[..., None, :]
-    val, d_a, d_p, d_negs = _hinge(anchor, positive, negs, None, alpha)
-    return val, d_a, d_p, d_negs[..., 0, :]
+    """Loss and subgradients (val, d_a, d_p, d_n) of the single-negative baseline: one term, one negative."""
+    val, d_a, d_p, d_n = _hinge(anchor, np.asarray(positive)[..., None, :],
+                                np.asarray(negative)[..., None, None, :], None, alpha)
+    return val[..., 0], d_a[..., 0, :], d_p[..., 0, :], d_n[..., 0, 0, :]
 
 
-def hetero_loss_grad(tup: EmbeddingTuple, margins: Margins) -> tuple[LossValue, EmbeddingTuple]:
-    """L1, the within-domain term (anchor vs same-domain positive vs mean same-domain negative),
-    L2, the cross-domain term (anchor vs cross-domain positive vs mean cross-domain negative),
-    and their sum; and the subgradients w.r.t. every embedding, as an EmbeddingTuple."""
-    l1, d_a1, d_pos_same, d_negs_same = _hinge(
-        tup.anchor, tup.pos_same, tup.negs_same, tup.n_same, margins.alpha1
-    )
-    l2, d_a2, d_pos_cross, d_negs_cross = _hinge(
-        tup.anchor, tup.pos_cross, tup.negs_cross, tup.n_cross, margins.alpha2
-    )
-    value = LossValue(l1=l1, l2=l2, total=l1 + l2)
-    grad = EmbeddingTuple(d_a1 + d_a2, d_pos_same, d_pos_cross, d_negs_same, d_negs_cross,
-                          tup.n_same, tup.n_cross)
-    return value, grad
+def hetero_loss_grad(anchor, positives, negatives, margins: Margins, counts=None):
+    """Value and subgradients (val, d_anchor, d_pos, d_negs) of the two terms; val (..., 2) holds L1 and L2.
+
+    Term 0, L1, is within-domain: the anchor against its same-domain positive and
+    the mean same-domain negative; term 1, L2, is cross-domain. `positives` is
+    (..., 2, D), `negatives` (..., 2, K, D) and `counts` (..., 2), each set's
+    leading negatives in use (None: all K); the gradients come in their layout.
+    """
+    val, d_a, d_pos, d_negs = _hinge(anchor, positives, negatives, counts,
+                                     np.array([margins.alpha1, margins.alpha2]))
+    # term by term: np.sum over the terms would turn a -0.0 into +0.0
+    return val, d_a[..., 0, :] + d_a[..., 1, :], d_pos, d_negs

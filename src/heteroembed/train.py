@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .loss import Margins, EmbeddingTuple, hetero_loss_grad, triplet_loss_grad
+from .loss import Margins, hetero_loss_grad, triplet_loss_grad
 from .net import (
     AdamState,
     ConfigError,
@@ -91,15 +91,14 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
     """Returns the flat gradient and the sums (loss, l1, l2, active hinges, hinges).
 
     `slots` is a block of `_slots`' table of `features` rows, -1 marking an empty
-    slot; each negative set takes half of the columns after the first three.
-    The baseline uses only the anchor, the same-domain positive and the first
-    same-domain negative. Every slot in use is one forward row, in row-major
-    slot order, so a sample in two slots sums both gradients.
+    slot. Its columns are the loss's layout (anchor, two positives, two negative
+    sets of k), so the hetero loss takes views of the embedded block. The baseline
+    uses the anchor, the same-domain positive and the first same-domain negative.
+    Every slot in use is one forward row, in row-major slot order, so a sample in
+    two slots sums both gradients.
     """
     in_use = slots >= 0
-    k = (slots.shape[1] - 3) // 2
-    same, cross = slice(3, 3 + k), slice(3 + k, None)
-    n_same, n_cross = in_use[:, same].sum(axis=1), in_use[:, cross].sum(axis=1)
+    n, k = len(slots), (slots.shape[1] - 3) // 2
     if baseline:
         in_use[:, 2] = in_use[:, 4:] = False
     X = features[slots[in_use]]
@@ -108,20 +107,18 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
 
     G = np.zeros_like(E)
     if baseline:
-        a, p, n = E[:, 0], E[:, 1], E[:, 3]
-        l1, G[:, 0], G[:, 1], G[:, 3] = triplet_loss_grad(a, p, n, margins.alpha1)
+        l1, G[:, 0], G[:, 1], G[:, 3] = triplet_loss_grad(E[:, 0], E[:, 1], E[:, 3], margins.alpha1)
         l2 = np.zeros_like(l1)
     else:
-        emb = EmbeddingTuple(E[:, 0], E[:, 1], E[:, 2], E[:, same], E[:, cross], n_same, n_cross)
-        val, g = hetero_loss_grad(emb, margins)
-        l1, l2 = val.l1, val.l2
-        G[:, 0], G[:, 1], G[:, 2] = g.anchor, g.pos_same, g.pos_cross
-        G[:, same], G[:, cross] = g.negs_same, g.negs_cross
+        negs, counts = E[:, 3:].reshape(n, 2, k, -1), in_use[:, 3:].reshape(n, 2, k).sum(axis=2)
+        val, G[:, 0], G[:, 1:3], d_negs = hetero_loss_grad(E[:, 0], E[:, 1:3], negs, margins, counts)
+        G[:, 3:] = d_negs.reshape(n, 2 * k, -1)
+        l1, l2 = val[:, 0], val[:, 1]
 
-    scale = 1.0 / len(slots)  # batch reduction: mean over tuples
+    scale = 1.0 / n  # batch reduction: mean over tuples
     grad = backward(net, X, scale * G[in_use])
     active = np.count_nonzero(l1 > 0) + np.count_nonzero(l2 > 0)
-    hinges = len(slots) * (1 if baseline else 2)
+    hinges = n * (1 if baseline else 2)
     # left-to-right sums, the order a running per-tuple total adds in
     sums = np.cumsum([l1 + l2, l1, l2], axis=1)[:, -1]
     return grad, np.append(sums, [active, hinges])

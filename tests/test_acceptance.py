@@ -15,13 +15,7 @@ from heteroembed.data import (
     load_manifest,
     save_manifest,
 )
-from heteroembed.loss import (
-    EmbeddingTuple,
-    Margins,
-    hetero_loss_grad,
-    mean_embedding,
-    triplet_loss_grad,
-)
+from heteroembed.loss import Margins, hetero_loss_grad, mean_embedding, triplet_loss_grad
 from heteroembed.metrics import ScoreSet, eer, gar_at_far, identify, roc
 from heteroembed.net import NetConfig, load_checkpoint, save_checkpoint
 from heteroembed.train import TrainConfig
@@ -40,14 +34,19 @@ def report(criterion, name, ok):
     assert ok, f"acceptance criterion {criterion} ({name}) failed"
 
 
-def random_tuple(rng, dim, k1, k2):
-    return EmbeddingTuple(
-        anchor=rng.standard_normal(dim),
-        pos_same=rng.standard_normal(dim),
-        pos_cross=rng.standard_normal(dim),
-        negs_same=[rng.standard_normal(dim) for _ in range(k1)],
-        negs_cross=[rng.standard_normal(dim) for _ in range(k2)],
-    )
+def random_tuple(rng, dim, k1, k2, scale=1.0):
+    """(anchor, positives, negatives, counts) in the loss's layout: the same- and
+    cross-domain negative sets of k1 and k2 vectors, the shorter NaN-padded."""
+    anchor, positives = scale * rng.standard_normal(dim), scale * rng.standard_normal((2, dim))
+    negatives = np.full((2, max(k1, k2), dim), np.nan)
+    for term, k in enumerate((k1, k2)):
+        negatives[term, :k] = scale * rng.standard_normal((k, dim))
+    return anchor, positives, negatives, np.array([k1, k2])
+
+
+def total(tup, margins=Margins()):
+    anchor, positives, negatives, counts = tup
+    return hetero_loss_grad(anchor, positives, negatives, margins, counts)[0].sum()
 
 
 def hinge_args(tup, margins):
@@ -55,9 +54,10 @@ def hinge_args(tup, margins):
         d = x - y
         return float(d @ d)
 
-    a1 = sq(tup.anchor, tup.pos_same) - sq(tup.anchor, mean_embedding(tup.negs_same)) + margins.alpha1
-    a2 = sq(tup.anchor, tup.pos_cross) - sq(tup.anchor, mean_embedding(tup.negs_cross)) + margins.alpha2
-    return a1, a2
+    anchor, positives, negatives, counts = tup
+    m = mean_embedding(negatives, counts)
+    return [sq(anchor, positives[t]) - sq(anchor, m[t]) + alpha
+            for t, alpha in enumerate((margins.alpha1, margins.alpha2))]
 
 
 def test_criterion_1_gradient_correctness():
@@ -70,28 +70,20 @@ def test_criterion_1_gradient_correctness():
     while checked < 120:
         dim = int(rng.integers(1, 9))
         scale = float(rng.choice([0.2, 1.0]))
-        tup = random_tuple(rng, dim, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        for name in ("anchor", "pos_same", "pos_cross"):
-            setattr(tup, name, getattr(tup, name) * scale)
-        tup.negs_same = [v * scale for v in tup.negs_same]
-        tup.negs_cross = [v * scale for v in tup.negs_cross]
-        a1, a2 = hinge_args(tup, margins)
-        if abs(a1) < 1e-3 or abs(a2) < 1e-3:
+        tup = random_tuple(rng, dim, int(rng.integers(1, 5)), int(rng.integers(1, 5)), scale)
+        if min(abs(arg) for arg in hinge_args(tup, margins)) < 1e-3:
             continue
         checked += 1
-        _, grad = hetero_loss_grad(tup, margins)
-        vecs = [tup.anchor, tup.pos_same, tup.pos_cross, *tup.negs_same, *tup.negs_cross]
-        grads = [grad.anchor, grad.pos_same, grad.pos_cross,
-                 *grad.negs_same, *grad.negs_cross]
+        grads = hetero_loss_grad(*tup[:3], margins, tup[3])[1:]
         h = 1e-5
-        for vec, g in zip(vecs, grads):
-            for i in range(dim):
-                old = vec[i]
-                vec[i] = old + h
-                f_plus = hetero_loss_grad(tup, margins)[0].total
-                vec[i] = old - h
-                f_minus = hetero_loss_grad(tup, margins)[0].total
-                vec[i] = old
+        for vecs, g in zip(tup[:3], grads):
+            for i in np.ndindex(vecs.shape):
+                old = vecs[i]
+                vecs[i] = old + h
+                f_plus = total(tup, margins)
+                vecs[i] = old - h
+                f_minus = total(tup, margins)
+                vecs[i] = old
                 fd = (f_plus - f_minus) / (2 * h)
                 if abs(fd - g[i]) > 1e-4 * max(1.0, abs(fd)):
                     ok = False
@@ -105,13 +97,12 @@ def test_criterion_2_reduction_oracle():
     for _ in range(1000):
         dim = int(rng.integers(1, 7))
         a, p, n = rng.standard_normal((3, dim))
-        tup = EmbeddingTuple(a, p, p.copy(), [n], [n.copy()])
-        l1 = hetero_loss_grad(tup, Margins(0.4, 0.4))[0].l1
+        tup = (a, np.stack([p, p]), np.stack([n, n])[:, None], None)
+        l1 = hetero_loss_grad(*tup[:3], Margins(0.4, 0.4))[0][0]
         if abs(l1 - triplet_loss_grad(a, p, n, 0.4)[0]) > 1e-12:
             ok = False
-        total = hetero_loss_grad(tup, Margins(0.4, 0.25))[0].total
         two = triplet_loss_grad(a, p, n, 0.4)[0] + triplet_loss_grad(a, p, n, 0.25)[0]
-        if abs(total - two) > 1e-12:
+        if abs(total(tup, Margins(0.4, 0.25)) - two) > 1e-12:
             ok = False
     report(2, "reduction to triplet loss", ok)
 
@@ -119,27 +110,20 @@ def test_criterion_2_reduction_oracle():
 def test_criterion_3_loss_identities():
     ok = True
     z = np.zeros(3)
-    coincident = EmbeddingTuple(z, z.copy(), z.copy(), [z.copy(), z.copy()], [z.copy()])
-    ok &= hetero_loss_grad(coincident, Margins(0.4, 0.4))[0].total == 0.8
+    ok &= total((z, np.zeros((2, 3)), np.zeros((2, 2, 3)), np.array([2, 1])), Margins(0.4, 0.4)) == 0.8
 
     rng = np.random.default_rng(103)
     for _ in range(100):
-        tup = random_tuple(rng, 4, 3, 2)
+        anchor, positives, negatives, counts = random_tuple(rng, 4, 3, 2)
         c = rng.standard_normal(4)
-        shifted = EmbeddingTuple(
-            tup.anchor + c, tup.pos_same + c, tup.pos_cross + c,
-            [v + c for v in tup.negs_same], [v + c for v in tup.negs_cross],
-        )
-        before = hetero_loss_grad(tup, Margins())[0].total
-        after = hetero_loss_grad(shifted, Margins())[0].total
+        before = total((anchor, positives, negatives, counts))
+        after = total((anchor + c, positives + c, negatives + c, counts))
         ok &= abs(before - after) < 1e-9
 
-        perm = rng.permutation(len(tup.negs_same))
-        permuted = EmbeddingTuple(
-            tup.anchor, tup.pos_same, tup.pos_cross,
-            [tup.negs_same[i] for i in perm], list(reversed(tup.negs_cross)),
-        )
-        ok &= hetero_loss_grad(permuted, Margins())[0].total == before
+        permuted = negatives.copy()
+        permuted[0] = negatives[0, rng.permutation(3)]
+        permuted[1, :2] = negatives[1, 1::-1]
+        ok &= total((anchor, positives, permuted, counts)) == before
     report(3, "loss identities", ok)
 
 

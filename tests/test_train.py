@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from heteroembed.data import Dataset, DomainShift, SynthConfig, generate_synthetic
-from heteroembed.loss import EmbeddingTuple, Margins, hetero_loss_grad, triplet_loss_grad
+from heteroembed.loss import Margins, hetero_loss_grad, triplet_loss_grad
 from heteroembed.net import EmbeddingNet, NetConfig, forward_batch, init_net, save_checkpoint
 from heteroembed.sampler import TupleSpec, build_index, epoch_tuples
 from heteroembed.train import NumericalError, TrainConfig, _batch_step, _slots, train
@@ -195,13 +195,16 @@ def per_tuple_losses(net, features, batch, baseline):
     values = []
     for t in batch:
         anchor, pos_same, pos_cross = embed([t.anchor, t.pos_same, t.pos_cross])
-        negs_same, negs_cross = embed(t.negs_same), embed(t.negs_cross)
         if baseline:
-            l1, l2 = triplet_loss_grad(anchor, pos_same, negs_same[0], STEP_MARGINS.alpha1)[0], 0.0
+            l1, l2 = triplet_loss_grad(anchor, pos_same, embed(t.negs_same)[0], STEP_MARGINS.alpha1)[0], 0.0
         else:
-            tup = EmbeddingTuple(anchor, pos_same, pos_cross, list(negs_same), list(negs_cross))
-            value = hetero_loss_grad(tup, STEP_MARGINS)[0]
-            l1, l2 = value.l1, value.l2
+            # the two sets padded to the wider with zeros, and given counts
+            k = max(len(t.negs_same), len(t.negs_cross))
+            negatives = np.zeros((2, k, len(anchor)))
+            for term, rows in enumerate((t.negs_same, t.negs_cross)):
+                negatives[term, : len(rows)] = embed(rows)
+            counts = np.array([len(t.negs_same), len(t.negs_cross)])
+            l1, l2 = hetero_loss_grad(anchor, np.stack([pos_same, pos_cross]), negatives, STEP_MARGINS, counts)[0]
         values.append((l1 + l2, l1, l2))
     return np.array(values, dtype=np.float64)
 
@@ -252,6 +255,25 @@ def test_batch_step_does_not_depend_on_padding_width(baseline):
     narrow_step = _batch_step(net, features, table, STEP_MARGINS, baseline)
     wide_step = _batch_step(net, features, wide, STEP_MARGINS, baseline)
     assert [a.tobytes() for a in narrow_step] == [a.tobytes() for a in wide_step]
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_one_loss_call_and_one_centroid_per_step(monkeypatch, baseline):
+    # both hetero terms go through one kernel call, so one centroid call serves both sets
+    hloss, htrain = importlib.import_module("heteroembed.loss"), importlib.import_module("heteroembed.train")
+    loss = "triplet_loss_grad" if baseline else "hetero_loss_grad"
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    counted(hloss, "mean_embedding")
+    counted(htrain, loss)
+    features, batch = step_inputs(seed=0)
+    net = init_net(NetConfig(input_dim=3, hidden_dims=(8, 6), embed_dim=3), seed=0)
+    _batch_step(net, features, _slots(batch), STEP_MARGINS, baseline)
+    assert sorted(calls) == sorted(["mean_embedding", loss])
 
 
 def test_slots_are_as_wide_as_the_widest_set_drawn():
