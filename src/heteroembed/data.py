@@ -145,6 +145,8 @@ def save_manifest(dataset: Dataset, path) -> None:
     """
     if not dataset.samples:
         raise ParseError("empty dataset: a manifest needs at least one data line")
+    for label in (x for s in dataset.samples for x in (s.identity, s.domain) if not isinstance(x, str)):
+        raise ParseError(f"label {label!r} is not text")
     identities = dict.fromkeys(s.identity for s in dataset.samples)
     domains = dict.fromkeys(s.domain for s in dataset.samples)
     for label in [*identities, *domains]:
@@ -256,13 +258,7 @@ def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     if len(identities) < 2:
         raise ValueError("need at least 2 identities to split")
     n_train = min(max(round(train_fraction * len(identities)), 1), len(identities) - 1)
-    train_ids = set(draw_distinct(np.random.default_rng(seed), identities, n_train))
-    train = [s for s in dataset.samples if s.identity in train_ids]
-    test = [s for s in dataset.samples if s.identity not in train_ids]
-    return (
-        Dataset(samples=train, feature_dim=dataset.feature_dim),
-        Dataset(samples=test, feature_dim=dataset.feature_dim),
-    )
+    return _partition(dataset, "identity", set(draw_distinct(np.random.default_rng(seed), identities, n_train)))
 
 
 def split_enroll_probe(dataset: Dataset, per_identity_enroll: int, seed: int):
@@ -279,9 +275,12 @@ def split_enroll_probe(dataset: Dataset, per_identity_enroll: int, seed: int):
             raise ValueError(f"identity {ident!r} has {len(group)} samples, "
                              f"needs at least {per_identity_enroll + 1}")
         gallery_ids.update(s.id for s in draw_distinct(rng, group, per_identity_enroll))
-    gallery = [s for s in dataset.samples if s.id in gallery_ids]
-    probes = [s for s in dataset.samples if s.id not in gallery_ids]
-    return (
-        Dataset(samples=gallery, feature_dim=dataset.feature_dim),
-        Dataset(samples=probes, feature_dim=dataset.feature_dim),
-    )
+    return _partition(dataset, "id", gallery_ids)
+
+
+def _partition(dataset: Dataset, key: str, chosen: set) -> tuple[Dataset, Dataset]:
+    """The samples whose `key` attribute is in `chosen`, then the others; each in dataset order."""
+    # Each side is built whole: two lists grown in turn fragment the heap, and a kept split holds that.
+    inside = [s for s in dataset.samples if getattr(s, key) in chosen]
+    outside = [s for s in dataset.samples if getattr(s, key) not in chosen]
+    return Dataset(inside, dataset.feature_dim), Dataset(outside, dataset.feature_dim)

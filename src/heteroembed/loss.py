@@ -52,6 +52,8 @@ def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
     if count is None:
         return vectors, np.ones(vectors.shape[:-1], dtype=bool)
     count, k = np.asarray(count), vectors.shape[-2]
+    if count.dtype.kind not in "iu":
+        raise ValueError(f"each negative set needs an integer count, got dtype {count.dtype}")
     if count.shape != vectors.shape[:-2]:
         raise ShapeError(f"count shape {count.shape} does not match the sets' leading shape {vectors.shape[:-2]}")
     if (count < 1).any():

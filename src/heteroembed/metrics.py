@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .net import EmbeddingNet, ShapeError, forward_batch
+from .net import ConfigError, EmbeddingNet, ShapeError, forward_batch, is_finite
 
 # Probe x gallery entries per block in `identify` and `verification_scores`,
 # and ROC rows per block of `write_roc_csv`: bounds the temporaries, not the
@@ -208,8 +208,8 @@ def gar_at_far(curve: ScoreSet, far_level: float) -> float:
     below the next impostor score. Below the smallest achievable positive
     FAR the curve is taken as flat at its lowest point.
     """
-    if not 0.0 <= far_level <= 1.0:
-        raise ValueError("far_level must lie in [0, 1]")
+    if not (is_finite("far_level", far_level) and 0.0 <= far_level <= 1.0):
+        raise ConfigError(f"far_level must lie in [0, 1], got {far_level!r}")
     genuine, impostor = curve.genuine, curve.impostor
     n = impostor.size
 

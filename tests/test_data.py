@@ -366,13 +366,26 @@ class TestSaveManifest:
     @pytest.mark.parametrize(
         "identity,domain",
         [("a,b", "A"), ("s1", "A,B"), ("a\nb", "A"), ("s1", "A\r"), ("a\x1cb", "A"),
-         ("a\u2028", "A"), ("#s1", "A"), ("\ud800", "A")],
+         ("a\u2028", "A"), ("#s1", "A"), ("\ud800", "A"), (5, "A"), ("s1", 5.0), (None, "A"),
+         ("s1", True), (b"x", "A"), (["a"], "A")],
     )
     def test_unreadable_label_refused_before_open(self, tmp_path, identity, domain):
         path = tmp_path / "d.hem"
         with pytest.raises(ParseError):
             save_manifest(one_sample(identity, domain), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("identity,domain,message", [
+        (5, "A", "label 5 is not text"), ("s1", ["a"], "label ['a'] is not text"),
+    ])
+    def test_label_not_text_named(self, tmp_path, identity, domain, message):
+        with pytest.raises(ParseError) as info:
+            save_manifest(one_sample(identity, domain), tmp_path / "d.hem")
+        assert str(info.value) == message
+
+    def test_numpy_str_labels_round_trip(self, tmp_path):
+        save_manifest(one_sample(np.str_("s1"), np.str_("A")), tmp_path / "d.hem")
+        assert [(s.identity, s.domain) for s in load_manifest(tmp_path / "d.hem").samples] == [("s1", "A")]
 
     def test_empty_dataset_refused_before_open(self, tmp_path):
         path = tmp_path / "d.hem"

@@ -81,7 +81,10 @@ class TestMeanEmbedding:
         ((2, 3, 2), [2, 0], ValueError, "each negative set needs a count >= 1"),
         ((2, 3, 4), [1, 1, 1], ShapeError, "count shape (3,) does not match the sets' leading shape (2,)"),
         ((2, 3, 4), 2, ShapeError, "count shape () does not match the sets' leading shape (2,)"),
-    ], ids=["zero", "one_zero", "too_many_counts", "scalar_count"])
+        ((3, 1), 2.5, ValueError, "each negative set needs an integer count, got dtype float64"),
+        ((3, 1), True, ValueError, "each negative set needs an integer count, got dtype bool"),
+        ((3, 1), "2", ValueError, "each negative set needs an integer count, got dtype <U1"),
+    ], ids=["zero", "one_zero", "too_many_counts", "scalar_count", "fractional", "bool", "string"])
     def test_bad_count_rejected(self, shape, count, error, message):
         with pytest.raises(ValueError) as info:
             mean_embedding(np.zeros(shape), np.array(count))
@@ -151,7 +154,8 @@ class TestHeteroLoss:
         ([[5, 4], [1, 1]], ValueError, "each negative set needs a count <= K=4, got 5"),
         ([[2, 4], [1, 5]], ValueError, "each negative set needs a count <= K=4, got 5"),
         ([2, 1], ShapeError, "count shape (2,) does not match the sets' leading shape (2, 2)"),
-    ], ids=["same_above_k", "cross_above_k", "per_tuple_not_per_term"])
+        ([[2.5, 1], [1, 1]], ValueError, "each negative set needs an integer count, got dtype float64"),
+    ], ids=["same_above_k", "cross_above_k", "per_tuple_not_per_term", "fractional"])
     def test_bad_counts_rejected(self, counts, error, message):
         with pytest.raises(ValueError) as info:
             hetero_loss_grad(np.zeros((2, 3)), np.zeros((2, 2, 3)), np.zeros((2, 2, 4, 3)), Margins(), np.array(counts))

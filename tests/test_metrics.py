@@ -16,7 +16,7 @@ from heteroembed.metrics import (
     verification_scores,
     write_roc_csv,
 )
-from heteroembed.net import NetConfig, ShapeError, forward_batch, init_net
+from heteroembed.net import ConfigError, NetConfig, ShapeError, forward_batch, init_net
 
 
 # --- independent brute-force oracles ---------------------------------------
@@ -461,10 +461,18 @@ class TestGarAtFar:
         curve = roc(ScoreSet(genuine=rng.random(20), impostor=rng.random(20)))
         assert gar_at_far(curve, 1.0) == 1.0
 
-    def test_out_of_range(self):
+    @pytest.mark.parametrize("level, message", [
+        (1.5, "far_level must lie in [0, 1], got 1.5"),
+        (-0.1, "far_level must lie in [0, 1], got -0.1"),
+        (float("nan"), "far_level must lie in [0, 1], got nan"),
+        (True, "far_level must be a real number, got True"),
+        ("0.1", "far_level must be a real number, got '0.1'"),
+    ], ids=["above", "below", "nan", "bool", "string"])
+    def test_out_of_range(self, level, message):
         curve = roc(ScoreSet(genuine=np.array([0.1]), impostor=np.array([0.9])))
-        with pytest.raises(ValueError):
-            gar_at_far(curve, 1.5)
+        with pytest.raises(ConfigError) as info:
+            gar_at_far(curve, level)
+        assert str(info.value) == message
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(14)
