@@ -1,9 +1,10 @@
 #!/bin/sh
 # Runs synth, train, eval and compare with one small config file, a train with
-# a tuple.k above every group's size, then a train the manifest reader refuses
-# and a synth with an empty --config, and writes their twelve outputs (listed
-# in the workflow's CLI_OUTPUTS) into DIR, which must not exist yet. SRC is
-# the directory that holds the heteroembed package.
+# a tuple.k above every group's size, a synth and a train under --seed, then a
+# train the manifest reader refuses, a synth with an empty --config and a train
+# with --seed -4, and writes their fifteen outputs (listed in the workflow's
+# CLI_OUTPUTS) into DIR, which must not exist yet. SRC is the directory that
+# holds the heteroembed package.
 # Usage: sh .github/cli-outputs.sh SRC DIR
 set -eu
 export PYTHONPATH="$(cd "$1" && pwd)"
@@ -24,6 +25,10 @@ python3 -m heteroembed.cli compare --config run.cfg --data data.hem > compare.ou
 { cat run.cfg; echo tuple.k=4096; } > wide.cfg
 python3 -m heteroembed.cli train --config wide.cfg --data data.hem --out wide.ckpt \
   --log-out wide.log.csv > /dev/null
+# --seed replaces the config file's seed
+python3 -m heteroembed.cli synth --config run.cfg --seed 3 --out seed.hem > /dev/null
+python3 -m heteroembed.cli train --config run.cfg --seed 5 --data data.hem --out seed.ckpt \
+  --log-out seed.log.csv > /dev/null
 # data.hem with the last line's first feature spelled x: the exit code and the
 # error line go to refusal.out, and the failing command does not stop the script
 sed '$ s/,[^, ]* /,x /' data.hem > bad.hem
@@ -31,4 +36,7 @@ sed '$ s/,[^, ]* /,x /' data.hem > bad.hem
   && echo "exit 0" || echo "exit $?"; } > refusal.out
 # an empty --config is a path that cannot be opened, not a missing option
 { python3 -m heteroembed.cli synth --config '' --out empty.hem 2>&1 >/dev/null \
+  && echo "exit 0" || echo "exit $?"; } >> refusal.out
+# a --seed the config's seed check refuses
+{ python3 -m heteroembed.cli train --config run.cfg --seed -4 --data data.hem --out neg.ckpt 2>&1 >/dev/null \
   && echo "exit 0" || echo "exit $?"; } >> refusal.out

@@ -3,7 +3,7 @@
 Config files are flat `key=value` text with dotted keys, e.g.
 `net.embed_dim=32`; a line whose first non-blank character is '#' is a
 comment. One file serves all four commands (`_fields` gives the key rule).
-Exit codes: 0 success, 2 config/parse or file error, 3 sampler
+Exit codes: 0 success, 2 config/parse, file or memory error, 3 sampler
 infeasibility, 4 numerical failure, 5 shape mismatch.
 """
 
@@ -37,6 +37,7 @@ from .metrics import (
     verification_report,
     verification_scores,
     write_cmc_csv,
+    write_roc_csv,
 )
 from .net import (
     NetConfig,
@@ -144,17 +145,12 @@ def _fields(cfg: dict[str, str], schema: dict) -> dict[type, dict]:
     return kwargs
 
 
-def synth_config_from(cfg: dict[str, str], seed_override=None) -> SynthConfig:
+def synth_config_from(cfg: dict[str, str]) -> SynthConfig:
     kwargs = _fields(cfg, SYNTH_KEYS)
-    config = SynthConfig(domain_shift=DomainShift(**kwargs[DomainShift]), **kwargs[SynthConfig])
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
-    return config
+    return SynthConfig(domain_shift=DomainShift(**kwargs[DomainShift]), **kwargs[SynthConfig])
 
 
-def run_config_from(
-    cfg: dict[str, str], input_dim: int, seed_override=None
-) -> tuple[TrainConfig, float, int]:
+def run_config_from(cfg: dict[str, str], input_dim: int) -> tuple[TrainConfig, float, int]:
     """Build a TrainConfig plus (train_fraction, enroll_per_identity)."""
     kwargs = _fields(cfg, RUN_KEYS)
     # The CLI trains one hidden layer where the library's NetConfig is linear:
@@ -167,8 +163,6 @@ def run_config_from(
         **kwargs[TrainConfig],
     )
     split = SplitConfig(**kwargs[SplitConfig])
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
     return config, split.train_fraction, split.enroll_per_identity
 
 
@@ -220,7 +214,10 @@ def _match(net, gallery: Dataset, probes: Dataset, roc_out=None):
     if not np.isfinite(dist).all():
         raise NumericalError("non-finite embedding distance: the network overflows on this data")
     ident = identify(dist, probe_labels, gal_labels)
-    verif = verification_report(verification_scores(dist, probe_labels, gal_labels), roc_out=roc_out)
+    scores = verification_scores(dist, probe_labels, gal_labels)
+    verif = verification_report(scores)
+    if roc_out is not None:
+        write_roc_csv(scores, roc_out)  # `roc(scores)` is `scores`: the curve the report read
     return ident, verif, dist, probe_labels, gal_labels
 
 
@@ -265,9 +262,14 @@ def _config(args, schema: dict) -> dict[str, str]:
     return cfg
 
 
+def _seeded(config, args):
+    """`config` with `--seed`, when given, in place of its seed; the file's own seed has passed its check."""
+    return config if args.seed is None else replace(config, seed=args.seed)
+
+
 def cmd_synth(args) -> int:
     _check_out_paths({"--out": args.out}, {"--config": args.config})
-    config = synth_config_from(_config(args, SYNTH_KEYS), seed_override=args.seed)
+    config = _seeded(synth_config_from(_config(args, SYNTH_KEYS)), args)
     dataset = generate_synthetic(config)
     save_manifest(dataset, args.out)
     print(f"samples={len(dataset)}")
@@ -279,7 +281,8 @@ def cmd_synth(args) -> int:
 def _run_inputs(args, cfg: dict[str, str]) -> tuple[Dataset, TrainConfig, float, int]:
     """Load `--data`, then build the run config from `cfg` and `--seed`."""
     dataset = load_manifest(args.data)
-    return (dataset, *run_config_from(cfg, dataset.feature_dim, seed_override=args.seed))
+    config, train_fraction, enroll = run_config_from(cfg, dataset.feature_dim)
+    return dataset, _seeded(config, args), train_fraction, enroll
 
 
 def cmd_train(args) -> int:
@@ -404,7 +407,7 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ParseError(f"option --seed: bad value {args.seed!r}") from exc
         return args.func(args)
-    except (ValueError, NumericalError, OSError) as exc:
+    except (ValueError, NumericalError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ShapeError):
             return EXIT_SHAPE

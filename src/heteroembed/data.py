@@ -195,15 +195,9 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     theta = math.radians(shift.rotation_angle_degrees)
     rot = np.eye(dim)
     if dim >= 2:
-        rot[0, 0] = math.cos(theta)
-        rot[0, 1] = -math.sin(theta)
-        rot[1, 0] = math.sin(theta)
-        rot[1, 1] = math.cos(theta)
-
-    direction = rng.standard_normal(dim)  # drawn for every offset: the stream stays aligned
-    offset = np.zeros(dim)
-    if shift.offset_magnitude != 0.0:
-        offset = shift.offset_magnitude * direction / np.linalg.norm(direction)
+        rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    direction = rng.standard_normal(dim)
+    offset = shift.offset_magnitude * direction / np.linalg.norm(direction)
 
     # One draw in stream order: per identity its center, n domain-A scatters,
     # then n (scatter, noise) pairs for domain B.
@@ -261,10 +255,17 @@ def split_by_identity(dataset: Dataset, train_fraction: float, seed: int):
     return _partition(dataset, "identity", set(draw_distinct(np.random.default_rng(seed), identities, n_train)))
 
 
+def check_distinct_ids(dataset: Dataset) -> None:
+    """Refuse two samples with one id: the enroll split and the sampler order rows by id."""
+    if len({s.id for s in dataset.samples}) != len(dataset.samples):
+        raise ValueError("sample ids must be distinct")
+
+
 def split_enroll_probe(dataset: Dataset, per_identity_enroll: int, seed: int):
-    """Per identity, enroll a fixed number of samples; the rest become probes."""
+    """Per identity, enroll a fixed number of samples; the rest become probes. Sample ids must be distinct."""
     check_field("per_identity_enroll", per_identity_enroll, 1)
     check_field("seed", seed, 0)
+    check_distinct_ids(dataset)
     by_identity: dict[str, list[Sample]] = {}
     for s in sorted(dataset.samples, key=lambda s: s.id):
         by_identity.setdefault(s.identity, []).append(s)

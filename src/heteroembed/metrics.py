@@ -244,16 +244,13 @@ def verification_scores(dist: np.ndarray, probe_identities, gallery_identities) 
     return ScoreSet(genuine=genuine, impostor=impostor)
 
 
-def verification_report(scores: ScoreSet, roc_out=None) -> VerificationReport:
-    """EER and GAR at each of FAR_LEVELS; with `roc_out`, the curve is then written there."""
+def verification_report(scores: ScoreSet) -> VerificationReport:
+    """EER and GAR at each of FAR_LEVELS."""
     curve = roc(scores)
-    report = VerificationReport(
+    return VerificationReport(
         eer=eer(curve),
         gar_at={f: gar_at_far(curve, f) for f in FAR_LEVELS},
     )
-    if roc_out is not None:
-        write_roc_csv(curve, roc_out)
-    return report
 
 
 def write_roc_csv(curve: ScoreSet, path) -> None:

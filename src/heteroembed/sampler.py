@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .data import Dataset, draw_distinct
+from .data import Dataset, check_distinct_ids, draw_distinct
 from .net import check_field
 
 
@@ -69,6 +69,7 @@ def build_index(dataset: Dataset) -> DatasetIndex:
     """The dataset's feasible-triple table (see DatasetIndex); infeasibility shows at the first draw."""
     if not dataset.samples:
         raise ValueError("cannot index an empty dataset")
+    check_distinct_ids(dataset)
     groups: dict[tuple[str, str], list[int]] = {}
     for row, s in sorted(enumerate(dataset.samples), key=lambda item: item[1].id):
         groups.setdefault((s.identity, s.domain), []).append(row)

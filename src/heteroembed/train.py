@@ -129,8 +129,6 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
 def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, TrainingLog]:
     """Train an embedding network on the given dataset; distinct sample ids order the sampler's rows."""
     index = build_index(dataset)
-    if len({s.id for s in dataset.samples}) != len(dataset.samples):
-        raise ValueError("sample ids must be distinct")
     features = np.stack([s.features for s in dataset.samples])
     net = init_net(config.net, config.seed)
     sampler_rng = np.random.default_rng([config.seed, 1])

@@ -102,14 +102,6 @@ class TestConfigParsing:
         assert (code, out, err) == (2, "", "error: config key 'net.normalize_output': bad value 'maybe'\n")
         assert not (tmp_path / "n.ckpt").exists()
 
-    def test_seed_override_passes_the_config_checks(self):
-        assert run_config_from({"seed": "3"}, 4, seed_override=7)[0].seed == 7
-        assert synth_config_from({"synth.seed": "3"}, seed_override=7).seed == 7
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            run_config_from({}, 4, seed_override=-1)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            synth_config_from({}, seed_override=-1)
-
 
 class TestExactIntegers:
     """Integers are ASCII digits with an optional leading `-`; the readers refuse other spellings."""
@@ -169,7 +161,11 @@ class TestRefusedBeforeTraining:
         "argv,key",
         [("synth --config {cfg} --out {tmp}/d.hem", "synth.seed"),
          ("train --config {cfg} --data {data} --out {tmp}/n.ckpt", "seed"),
-         ("compare --config {cfg} --data {data}", "seed")],
+         ("compare --config {cfg} --data {data}", "seed"),
+         # the file's seed passes its check before `--seed` replaces it
+         ("synth --config {cfg} --out {tmp}/d.hem --seed 5", "synth.seed"),
+         ("train --config {cfg} --data {data} --out {tmp}/n.ckpt --seed 5", "seed"),
+         ("compare --config {cfg} --data {data} --seed 5", "seed")],
     )
     def test_negative_seed_key(self, tmp_path, small_manifest, monkeypatch, argv, key):
         for name in ("generate_synthetic", "train", "run_compare"):
@@ -238,6 +234,15 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", str(by_config)]) == 0
         assert by_option.read_bytes() == by_config.read_bytes()
 
+    def test_memory_error_exit_2(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 21.8 TiB for an array")
+
+        monkeypatch.setattr("heteroembed.cli.generate_synthetic", refuse)
+        code, out, err = run_main(["synth", "--out", tmp_path / "d.hem"])
+        assert (code, out, err) == (2, "", "error: Unable to allocate 21.8 TiB for an array\n")
+        assert not (tmp_path / "d.hem").exists()
+
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.cfg", "synth.bogus_knob=1\n")
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "d.hem")]) == 2
@@ -276,6 +281,16 @@ class TestTrain:
                 "train", "--config", cfg, "--data", str(small_manifest),
                 "--out", str(ckpt), "--log-out", str(log),
             ]) == 0
+            outs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert outs[0] == outs[1]
+
+    def test_seed_option_overrides_config(self, tmp_path, small_manifest):
+        outs = []
+        for name, seed, option in (("option", 1, ["--seed", "7"]), ("config", 7, [])):
+            cfg = write(tmp_path / f"{name}.cfg", replacing(SMALL_RUN, f"seed={seed}"))
+            ckpt, log = tmp_path / f"{name}.ckpt", tmp_path / f"{name}.log.csv"
+            assert run_main(["train", "--config", cfg, "--data", small_manifest,
+                             "--out", ckpt, "--log-out", log] + option)[0] == 0
             outs.append((ckpt.read_bytes(), log.read_bytes()))
         assert outs[0] == outs[1]
 
@@ -418,7 +433,7 @@ class TestEval:
         assert main(argv) == 0
         assert capsys.readouterr().out == with_roc
 
-    @pytest.mark.parametrize("writer", ["heteroembed.metrics.write_roc_csv", "heteroembed.cli.write_cmc_csv"])
+    @pytest.mark.parametrize("writer", ["heteroembed.cli.write_roc_csv", "heteroembed.cli.write_cmc_csv"])
     def test_failed_curve_write_prints_no_report(self, tmp_path, small_manifest, monkeypatch, writer):
         cfg = write(tmp_path / "run.cfg", SMALL_RUN)
         ckpt = tmp_path / "net.ckpt"

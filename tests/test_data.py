@@ -664,6 +664,13 @@ class TestSplitEnrollProbe:
         b = split_enroll_probe(self.make(), 2, seed=3)
         assert [s.id for s in a[0].samples] == [s.id for s in b[0].samples]
 
+    def test_repeated_ids_refused(self):
+        # partitioned by id, two samples sharing id 0 would both go to the gallery
+        ds = generate_synthetic(SynthConfig(n_identities=3, samples_per_identity_per_domain=2, feature_dim=2))
+        ds.samples[1].id = ds.samples[0].id
+        with pytest.raises(ValueError, match="^sample ids must be distinct$"):
+            split_enroll_probe(ds, 1, 1)
+
     def test_partition(self):
         gallery, probes = split_enroll_probe(self.make(), 2, seed=1)
         ids = sorted([s.id for s in gallery.samples] + [s.id for s in probes.samples])

@@ -170,6 +170,12 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(Dataset(samples=[], feature_dim=2))
 
+    def test_repeated_ids_rejected(self):
+        ds = make_dataset(["a", "b"], ["0", "1"], 2)
+        ds.samples[1].id = ds.samples[0].id
+        with pytest.raises(ValueError, match="^sample ids must be distinct$"):
+            build_index(ds)
+
     def test_rows_follow_sample_id_order(self):
         # One side of a split has ids that are not 0..n-1; reversing its list
         # puts them in decreasing order. The groups still run in id order, so
