@@ -13,6 +13,7 @@ one anchor (..., D), with any leading batch dimensions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +73,11 @@ def mean_embedding(vectors, count=None) -> np.ndarray:
     bit-identical under any permutation of a set's vectors.
     """
     stack, in_use = _as_set(vectors, count)
-    # Unused slots become NaN, which np.sort puts last: the first n values of
-    # each sorted component are the ones in use. A NaN in use stays among
-    # them, so it reaches the sum.
-    ordered = np.sort(np.where(in_use[..., None], stack, np.nan), axis=-2)
-    n = in_use.sum(axis=-1)[..., None]
-    total = ordered[..., 0, :]
-    for j in range(1, stack.shape[-2]):
-        total = np.where(j < n, total + ordered[..., j, :], total)
-    return total / n
+    keep = in_use[..., None]
+    # Unused slots sort last as NaN (a NaN in use stays among the kept), then become -0.0, which adds nothing.
+    ordered = np.where(keep, np.sort(np.where(keep, stack, np.nan), axis=-2), -0.0)
+    # a fold adds left to right: ordered.sum(axis=-2) reorders the adds for narrow D
+    return functools.reduce(np.add, np.moveaxis(ordered, -2, 0)) / in_use.sum(axis=-1)[..., None]
 
 
 def _hinge(anchor, pos, negs, count, margins):

@@ -58,24 +58,34 @@ def test_tuple_keys_reads_the_sampler_output(spans):
         assert {a, b} <= set(index.identities) and {p, q} <= set(index.domains)
 
 
-def test_layer_counters_read_the_run(spans):
+def test_layer_counters_read_the_run(spans, tmp_path):
     # The counters read argument positions and result fields: a change to
-    # either would leave a per-layer figure silently at 0.
-    dataset = generate_synthetic(SynthConfig(n_identities=12, samples_per_identity_per_domain=4, feature_dim=4))
+    # either would leave a per-layer figure silently at 0. Every patched name
+    # must be called too, each reached through its module as the library's
+    # callers reach it: the benchmark's traced runs refuse a name never called.
+    data, net, train = (importlib.import_module(f"heteroembed.{m}") for m in ("data", "net", "train"))
     config = TrainConfig(net=NetConfig(input_dim=4, hidden_dims=(8,), embed_dim=4),
                          epochs=2, tuples_per_epoch=30, batch_size=8)
     rec = spans.Recorder()
     rec.install(with_layers=True)
     try:
         rec.tracing = True
+        synthetic = data.generate_synthetic(SynthConfig(n_identities=12, samples_per_identity_per_domain=4,
+                                                        feature_dim=4))
+        data.save_manifest(synthetic, tmp_path / "data.hem")
+        dataset = data.load_manifest(tmp_path / "data.hem")
+        trained, _ = train.train(data.split_by_identity(dataset, 0.5, 0)[0], config)
+        net.save_checkpoint(trained, tmp_path / "net.ckpt")
+        net.load_checkpoint(tmp_path / "net.ckpt")
         cli.run_compare(dataset, config, 0.5, 2)
     finally:
         rec.tracing = False
         rec.uninstall()
+    assert [label for label, calls in rec.traced_calls.items() if calls == 0] == []
     counts = {key: value for (key, _), value in rec.counters.items()}
     matrices = [result[2] for span, *_, result in rec.calls if span.startswith("cli.evaluate.")]
     assert len(matrices) == 4  # both protocols for both losses
-    assert counts["sampler.tuples"] == 2 * 2 * 30  # two losses, two epochs
+    assert counts["sampler.tuples"] == 3 * 2 * 30  # one training, then two losses, each two epochs
     assert counts["net.forward_rows"] == counts["net.backward_rows"] > 0
     assert counts["metrics.pairs"] == sum(d.size for d in matrices)
     assert counts["metrics.roc_points"] > 0

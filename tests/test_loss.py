@@ -288,22 +288,37 @@ class TestBatched:
                 actives.add(tuple(v1 > 0))
         assert len(actives) == 4  # every combination of active hinges was seen
 
-    def test_centroid_permutation_invariant_per_set(self):
+    @pytest.mark.parametrize("inputs", ["random", "special"])
+    def test_centroid_permutation_invariant_per_set(self, inputs):
         rng = np.random.default_rng(12)
-        _, _, negatives, counts = ragged_batch(rng, 16, 3, 5, 1)
-        negs_same, n_same = negatives[:, 0], counts[:, 0]
-        before = mean_embedding(negs_same, n_same)
-        for i, k in enumerate(n_same):
-            # reference: one set, each component sorted, summed left to right
-            rows = np.sort(negs_same[i, :k], axis=0)
-            running = rows[0]
-            for r in rows[1:]:
-                running = running + r
-            assert same_bits(before[i], running / k)
-        shuffled = negs_same.copy()
-        for i, k in enumerate(n_same):
-            shuffled[i, :k] = shuffled[i, rng.permutation(k)]
-        assert same_bits(mean_embedding(shuffled, n_same), before)
+        if inputs == "random":
+            _, _, negatives, counts = ragged_batch(rng, 16, 3, 5, 1)
+            negs_same, n_same = negatives[:, 0], counts[:, 0]
+        else:  # signed zeros, +-inf and a NaN in use; unused slots hold NaN
+            inf, nan = np.inf, np.nan
+            negs_same = np.array([
+                [[-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0], [nan] * 3, [nan] * 3],  # all -0.0, count < K
+                [[0.0, -0.0, -0.0], [-0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [nan] * 3],
+                [[inf, -inf, 1.0], [2.0, inf, -inf], [3.0, 4.0, 5.0], [nan] * 3],  # inf - inf is NaN
+                [[nan, 1.0, -0.0], [2.0, -0.0, -0.0], [nan] * 3, [nan] * 3],
+                [[-0.0, inf, nan], [-0.0, -0.0, 1.0], [-0.0, 1.0, 2.0], [-0.0, -inf, -0.0]],
+            ])
+            n_same = np.array([2, 3, 3, 2, 4])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            before = mean_embedding(negs_same, n_same)
+            for i, k in enumerate(n_same):
+                # reference: one set, each component sorted, summed left to right
+                rows = np.sort(negs_same[i, :k], axis=0)
+                running = rows[0]
+                for r in rows[1:]:
+                    running = running + r
+                assert same_bits(before[i], running / k)
+            shuffled = negs_same.copy()
+            for i, k in enumerate(n_same):
+                shuffled[i, :k] = shuffled[i, rng.permutation(k)]
+            assert same_bits(mean_embedding(shuffled, n_same), before)
+        if inputs == "special":  # -0.0 pads the unused slots: an all -0.0 set keeps its sign
+            assert same_bits(before[0], np.full(3, -0.0))
 
     @pytest.mark.parametrize("inputs", ["random", "signed_zero"])
     def test_triplet_is_the_hinge_with_one_negative(self, inputs):
