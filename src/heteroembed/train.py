@@ -30,7 +30,7 @@ from .sampler import SampledTuple, TupleSpec, build_index, epoch_tuples
 
 
 class NumericalError(RuntimeError):
-    """Loss, gradient or updated parameter became non-finite during training."""
+    """A loss, updated parameter or distance became non-finite; a NaN or ±inf gradient shows as a NaN parameter."""
 
 
 @dataclass
@@ -88,7 +88,7 @@ def _slots(tuples: list[SampledTuple]) -> np.ndarray:
 
 
 def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, margins: Margins, baseline: bool):
-    """Returns the flat gradient and the sums (loss, l1, l2, active hinges, hinges).
+    """Returns the flat gradient and the sums (loss, l1, l2, active hinges).
 
     `slots` is a block of `_slots`' table of `features` rows, -1 marking an empty
     slot. Its columns are the loss's layout (anchor, two positives, two negative
@@ -118,10 +118,9 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
     scale = 1.0 / n  # batch reduction: mean over tuples
     grad = backward(net, X, scale * G[in_use])
     active = np.count_nonzero(l1 > 0) + np.count_nonzero(l2 > 0)
-    hinges = n * (1 if baseline else 2)
     # left-to-right sums, the order a running per-tuple total adds in
     sums = np.cumsum([l1 + l2, l1, l2], axis=1)[:, -1]
-    return grad, np.append(sums, [active, hinges])
+    return grad, np.append(sums, active)
 
 
 # Overflow is reported once, as a NumericalError, not as numpy warnings.
@@ -138,16 +137,16 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, Training
 
     for epoch in range(config.epochs):
         slots = _slots(epoch_tuples(index, sampler_rng, config.tuple_spec, config.tuples_per_epoch))
-        totals = np.zeros(5)  # running sums in batch order, as `_batch_step` returns them
+        totals = np.zeros(4)  # running sums in batch order, as `_batch_step` returns them
         for start in range(0, len(slots), config.batch_size):
             block = slots[start : start + config.batch_size]
             grad, sums = _batch_step(net, features, block, config.margins, baseline)
             adam_step(state, net.params, grad)
-            if not (np.isfinite(sums[0]) and np.isfinite(grad).all() and np.isfinite(net.params).all()):
+            if not (np.isfinite(sums[0]) and np.isfinite(net.params).all()):
                 raise NumericalError(f"non-finite loss, gradient or parameter in epoch {epoch}")
             totals += sums
         n = len(slots)
-        loss, l1, l2, active, hinges = totals.tolist()
+        loss, l1, l2, active = totals.tolist()
         log.records.append(EpochRecord(epoch=epoch, mean_loss=loss / n, mean_l1=l1 / n, mean_l2=l2 / n,
-                                       active_fraction=active / hinges, lr=state.learning_rate))
+                                       active_fraction=active / (n * (1 if baseline else 2)), lr=state.learning_rate))
     return net, log

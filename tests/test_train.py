@@ -105,17 +105,19 @@ def test_runaway_learning_rate_raises():
         train(small_dataset(), small_config(learning_rate=1e300))
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("stage", ["backward", "adam_step"])
-def test_non_finite_gradient_or_parameter_raises(monkeypatch, stage):
-    # one step in all, and its loss is finite: only the gradient or the
-    # updated-parameter check can stop the value reaching the network
+def test_non_finite_gradient_or_parameter_raises(monkeypatch, stage, value):
+    # One step in all, and its loss is finite: only the updated-parameter check
+    # after Adam can stop the value. It stops a poisoned gradient too, since Adam
+    # turns a NaN or ±inf gradient entry into a NaN parameter (inf/inf).
     htrain = importlib.import_module("heteroembed.train")
     real = getattr(htrain, stage)
 
     def poisoned(*args):
         out = real(*args)
         flat = args[1] if stage == "adam_step" else out  # updated in place, or returned
-        flat[0] = np.inf
+        flat[0] = value
         return out
 
     monkeypatch.setattr(htrain, stage, poisoned)
@@ -226,11 +228,10 @@ def test_batch_step_matches_the_batch_mean_loss(baseline, activation, normalize)
     grad, sums = _batch_step(net, features, _slots(batch), STEP_MARGINS, baseline)
 
     values = per_tuple_losses(net, features, batch, baseline)
-    hinges = len(batch) * (1 if baseline else 2)
     active = np.count_nonzero(values[:, 1:] > 0)
     assert 0 < active
     np.testing.assert_allclose(sums[:3], [sum(column) for column in values.T], rtol=1e-12)
-    assert sums[3:].tolist() == [active, hinges]
+    assert sums[3:].tolist() == [active]
 
     def mean_loss(params):
         return per_tuple_losses(EmbeddingNet(config, params), features, batch, baseline)[:, 0].mean()
@@ -288,6 +289,26 @@ def test_slots_are_as_wide_as_the_widest_set_drawn():
     for t, row in zip(tuples, table.tolist()):
         pad = lambda negs: negs + [-1] * (widest - len(negs))
         assert row == [t.anchor, t.pos_same, t.pos_cross, *pad(t.negs_same), *pad(t.negs_cross)]
+
+
+@pytest.mark.parametrize("mode", ["hetero", "triplet_baseline"])
+def test_active_fraction_is_the_epochs_active_hinges_over_its_hinges(monkeypatch, mode):
+    # 50 tuples in blocks of 8: the last block holds 2, and each tuple has one hinge per term
+    recorded_sums = []
+
+    def recorded(*args):
+        grad, sums = _batch_step(*args)
+        recorded_sums.append(sums)
+        return grad, sums
+
+    monkeypatch.setattr(importlib.import_module("heteroembed.train"), "_batch_step", recorded)
+    cfg = small_config(epochs=1, loss_mode=mode)
+    _, log = train(small_dataset(), cfg)
+    assert cfg.tuples_per_epoch % cfg.batch_size != 0 and len(recorded_sums) == 7
+    terms = 1 if mode == "triplet_baseline" else 2
+    active = sum(sums[3] for sums in recorded_sums)
+    assert 0 < active < cfg.tuples_per_epoch * terms
+    assert log.records[0].active_fraction == active / (cfg.tuples_per_epoch * terms)
 
 
 def test_k_above_every_group_costs_nothing(tmp_path, monkeypatch):
