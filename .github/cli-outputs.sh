@@ -1,9 +1,10 @@
 #!/bin/sh
 # Runs synth, train, eval and compare with one small config file, a train with
-# a tuple.k above every group's size, a synth and a train under --seed, then a
-# train the manifest reader refuses, a synth with an empty --config and a train
-# with --seed -4, and writes their fifteen outputs (listed in the workflow's
-# CLI_OUTPUTS) into DIR, which must not exist yet. SRC is the directory that
+# a tuple.k above every group's size, a synth and a train under --seed, a synth
+# whose features print in exponent notation, then a train the manifest reader
+# refuses, a synth with an empty --config and a train with --seed -4, and writes
+# their sixteen outputs (listed in the workflow's CLI_OUTPUTS) into DIR, which
+# must not exist yet. SRC is the directory that
 # holds the heteroembed package.
 # Usage: sh .github/cli-outputs.sh SRC DIR
 set -eu
@@ -29,6 +30,10 @@ python3 -m heteroembed.cli train --config wide.cfg --data data.hem --out wide.ck
 python3 -m heteroembed.cli synth --config run.cfg --seed 3 --out seed.hem > /dev/null
 python3 -m heteroembed.cli train --config run.cfg --seed 5 --data data.hem --out seed.ckpt \
   --log-out seed.log.csv > /dev/null
+# domain B offset by 1e20: its features leave [1e-4, 1e16), where %.17g switches
+# to exponent notation
+{ cat run.cfg; echo synth.offset_magnitude=1e20; } > far.cfg
+python3 -m heteroembed.cli synth --config far.cfg --out far.hem > /dev/null
 # data.hem with the last line's first feature spelled x: the exit code and the
 # error line go to refusal.out, and the failing command does not stop the script
 sed '$ s/,[^, ]* /,x /' data.hem > bad.hem

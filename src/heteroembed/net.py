@@ -12,7 +12,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import NoReturn
 
 import numpy as np
@@ -45,6 +44,81 @@ def text_lines(path):
                 yield from line.splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+# 10**k for k = -4..16, each the double nearest it and none below it: v >= _POW10[i] exactly
+# when v >= 10**(i - 4). `%.17g` writes |v| in [1e-4, 1e16) in positional notation.
+_POW10 = np.array([float(f"1e{k}") for k in range(-4, 17)])
+# 10**(20 - i), the exact double scaling a value v >= _POW10[i] to 17 integer digits, and
+# its Veltkamp split into two halves whose products with another half are exact.
+_SCALE = np.array([10**q for q in range(20, 0, -1)], dtype=np.float64)
+_SPLIT = 2.0**27 + 1
+_SCALE_HI = _SCALE * _SPLIT - (_SCALE * _SPLIT - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+# The four ASCII digits of each of 0..9999 as one uint32 (a grid of four digit columns, in order;
+# uint8 throughout, no large temporaries), and the divisors that cut N into its leading digit
+# and four such groups.
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).view(np.uint32).ravel()
+_QUADS = (10**16, 10**12, 10**8, 10**4, 1)
+_ROWS = np.arange(22, dtype=np.int8)[:, None]
+_SKIP = 0xFF  # a byte UTF-8 text never holds: it marks the bytes the writer drops
+
+
+def _digits17(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = round-half-even(v * 10**(16 - k)), 10**k <= v < 10**(k + 1), for each 1e-4 <= v < 1e16; and k + 4, as int8.
+
+    A function of its own so that its float64 temporaries are freed before `float_lines` spells the digits.
+    """
+    k = np.searchsorted(_POW10, v, side="right") - 1
+    scale, hi, lo = _SCALE[k], _SCALE_HI[k], _SCALE_LO[k]
+    p = v * scale
+    v_hi = v * _SPLIT - (v * _SPLIT - v)
+    v_lo = v - v_hi
+    err = ((v_hi * hi - p) + v_hi * lo + v_lo * hi) + v_lo * lo  # v * scale - p, exactly
+    # p >= 2**53 is an even integer, so rounding err half-even rounds p + err half-even. N never
+    # reaches 10**17: the double below each power of ten is 8 or more short of it in the 17th digit.
+    return p.astype(np.int64) + np.rint(err).astype(np.int64), k.astype(np.int8)
+
+
+def float_lines(prefixes: list[str], rows) -> bytes:
+    """The UTF-8 text of `prefix + " ".join("%.17g" % v for v in row) + "\\n"`, one line per prefix and row.
+
+    For 1e-4 <= |v| < 1e16 the 17 significant digits N = round-half-even(|v| * 10**(16 - k)),
+    10**k <= |v| < 10**(k + 1), come exactly from an error-free (Dekker) product. A 4-digit
+    table spells them into a 25-byte slot per value, whose unused bytes, and the zeros `%g`
+    strips, are `_SKIP`; one `bytes.translate` drops those. `%` formats every other value in its slot.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    n, d = x.shape
+    flat = x.ravel()
+    m, a = flat.size, np.abs(flat)
+    fast = (a >= 1e-4) & (a < 1e16)
+    digits, units = _digits17(np.where(fast, a, 1.0))  # 1.0 stands in for the values `%` formats
+    # text: the sign, then N as 21 digits (four leading zeros), reduced to the ones %g prints:
+    # from the units digit, or the first non-zero one, to the last non-zero one or the units digit.
+    text = np.empty((22, m), np.uint8)
+    text[0] = np.where(np.signbit(flat), np.uint8(ord("-")), np.uint8(_SKIP))
+    text[1] = ord("0")
+    for i, quad in enumerate(_QUADS):  # N's leading digit, then four groups of four
+        text[2 + 4 * i : 6 + 4 * i] = _DIGITS4[digits // quad % 10_000].view(np.uint8).reshape(m, 4).T
+    last = ((text[1:] != ord("0")) * _ROWS[:21]).max(axis=0)
+    np.copyto(text[1:], _SKIP, where=(_ROWS[:21] < np.minimum(units, 4)) | (_ROWS[:21] > np.maximum(units, last)))
+    # slots: one column per value; the digits after the units digit move one byte on for the point.
+    slots = np.empty((25, m), np.uint8)
+    slots[:23] = text[[0, *range(22)]]
+    np.copyto(slots[1:22], text[1:], where=_ROWS[1:22] <= units + 1)
+    slots[units + 2, np.arange(m)] = np.where(last > units, np.uint8(ord(".")), np.uint8(_SKIP))
+    slots[23], slots[24] = _SKIP, ord(" ")
+    for i in np.flatnonzero(~fast):
+        slots[:24, i] = np.frombuffer(("%.17g" % flat[i]).encode().ljust(24, b"\xff"), np.uint8)
+    heads = [prefix.encode() for prefix in prefixes]
+    widths = np.array([len(head) for head in heads])
+    width = widths.max()
+    lines = np.full((n, width + 25 * d), _SKIP, np.uint8)
+    lines[:, :width][np.arange(width) < widths[:, None]] = np.frombuffer(b"".join(heads), np.uint8)
+    lines[:, width:].reshape(n, d, 25)[...] = slots.T.reshape(n, d, 25)
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, bytes([_SKIP]))
 
 
 def parse_int(text: str) -> int:
@@ -277,12 +351,12 @@ def save_checkpoint(net: EmbeddingNet, path) -> None:
     cfg = net.config
     values = (cfg.input_dim, ",".join(map(str, cfg.hidden_dims)), cfg.embed_dim, cfg.activation,
               "true" if cfg.normalize_output else "false")
-    lines = [CHECKPOINT_MAGIC, *(f"{key}={value}" for key, value in zip(CHECKPOINT_KEYS, values))]
-    tokens = iter([format(v, ".17g") for v in net.params.tolist()])
-    for name, shape in _tensor_lines(cfg):
-        lines.append(" ".join([name, *map(str, shape), *islice(tokens, math.prod(shape))]))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    head = [CHECKPOINT_MAGIC, *(f"{key}={value}" for key, value in zip(CHECKPOINT_KEYS, values)), ""]
+    tensors = [tensor for layer in net._views() for tensor in layer]
+    body = b"".join(float_lines([" ".join([name, *map(str, shape), ""])], tensor.reshape(1, -1))
+                    for (name, shape), tensor in zip(_tensor_lines(cfg), tensors))
+    with open(path, "wb") as f:
+        f.write("\n".join(head).encode() + body)
 
 
 def load_checkpoint(path) -> EmbeddingNet:

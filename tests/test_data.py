@@ -73,6 +73,14 @@ def reference_load_manifest(path) -> Dataset:
     return Dataset(samples=samples, feature_dim=dim)
 
 
+def reference_save_manifest(dataset: Dataset) -> bytes:
+    """The manifest bytes formatted one value at a time: one `row % (identity, domain, *values)` per line."""
+    row = "%s,%s," + " ".join(["%.17g"] * dataset.feature_dim) + "\n"
+    lines = [f"{MANIFEST_MAGIC} dim={dataset.feature_dim}\n"]
+    lines += [row % (s.identity, s.domain, *np.asarray(s.features, dtype=np.float64).tolist()) for s in dataset.samples]
+    return "".join(lines).encode("utf-8")
+
+
 def reference_generate_synthetic(config: SynthConfig) -> Dataset:
     rng = np.random.default_rng(config.seed)
     dim = config.feature_dim
@@ -406,11 +414,11 @@ class TestSaveManifest:
             save_manifest(dataset, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("dim", [0, -1])
-    def test_non_positive_feature_dim_refused_before_open(self, tmp_path, dim):
+    @pytest.mark.parametrize("dim", [0, -1, 2.0, True, np.float64(1.0), np.bool_(True)])
+    def test_feature_dim_not_a_positive_integer_refused_before_open(self, tmp_path, dim):
         path = tmp_path / "d.hem"
-        dataset = Dataset(samples=[Sample(0, "s0", "A", np.zeros(max(dim, 0)))], feature_dim=dim)
-        with pytest.raises(ParseError, match=f"feature_dim={dim}"):
+        dataset = Dataset(samples=[Sample(0, "s0", "A", np.zeros(max(int(dim), 0)))], feature_dim=dim)
+        with pytest.raises(ParseError, match=re.escape(f"feature_dim={dim!r}, expected an integer >= 1")):
             save_manifest(dataset, path)
         assert not path.exists()
 
@@ -426,6 +434,68 @@ class TestSaveManifest:
                 return
             sample = load_manifest(path).samples[0]
         assert (sample.identity, sample.domain) == (identity, domain)
+
+
+def features_dataset(features, labels=lambda i: (f"s{i}", "A")) -> Dataset:
+    """One sample per row of the 2-D `features`, labelled by `labels(row index)`."""
+    features = np.asarray(features, dtype=np.float64)
+    samples = [Sample(i, *labels(i), row) for i, row in enumerate(features)]
+    return Dataset(samples=samples, feature_dim=features.shape[1])
+
+
+def assert_writes_reference_bytes(dataset: Dataset, path):
+    save_manifest(dataset, path)
+    assert path.read_bytes() == reference_save_manifest(dataset)
+
+
+# Values at the edges of the whole-array formatting: its range [1e-4, 1e16) and their
+# neighbours, each power of ten and the double below it (the roundings nearest to carrying
+# into the next power), exact ties at the 17th digit (rounded half to even), integers at and
+# above 2**53, and the values `%` formats itself.
+EDGE_FEATURES = [
+    1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0), np.nextafter(1e16, 2e16),
+    *(float(f"1e{k}") for k in range(-5, 18)), *(np.nextafter(float(f"1e{k}"), 0) for k in range(-5, 18)),
+    0.99999999999999994, 99999.999999999993, 9.9999999999999995e-05, 9.9999999999999999e15,
+    1e15 + 0.25, 1e15 + 0.75, 1e14 + 0.125, 1e14 + 0.375, 5e-324, 2.2250738585072014e-308,
+    2.0**53, 2.0**53 + 2, 2.0**54, 2.0**63, 9999999999999998.0, 1.0, 100.0, 0.5,
+    0.0, -0.0, 1e-7, 1e300, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+]
+
+
+class TestSaveManifestBytes:
+    """`save_manifest` writes the bytes of `reference_save_manifest`, which formats each value by `%`."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 3).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+        min_size=1, max_size=40)))
+    def test_any_finite_features(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_writes_reference_bytes(features_dataset(rows), Path(tmp) / "d.hem")
+
+    def test_million_value_sweep(self, tmp_path):
+        rng = np.random.default_rng(33)
+        magnitudes = 10.0 ** rng.uniform(-7, 18, size=(62_500, 16))
+        assert_writes_reference_bytes(features_dataset(magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.shape)),
+                                      tmp_path / "d.hem")
+
+    def test_exact_ties_at_every_exponent(self, tmp_path):
+        # 53-bit integers times powers of two, from ~1e-5 to ~3e16: many round at an exact 17th-digit tie
+        rng = np.random.default_rng(5)
+        ties = rng.integers(2**52, 2**53, size=(4096, 8)) * 2.0 ** rng.integers(-70, 3, size=(4096, 8))
+        assert_writes_reference_bytes(features_dataset(ties), tmp_path / "d.hem")
+
+    def test_edge_values(self, tmp_path):
+        edges = np.array(EDGE_FEATURES)
+        assert_writes_reference_bytes(features_dataset(np.stack([edges, -edges], axis=1)), tmp_path / "d.hem")
+
+    def test_labels_across_chunks(self, tmp_path):
+        labels = ["a", "id0042", "\u00e9t\u00e9", "\x00", "x\x00y", "\u6f22\u5b57", "\U0001f600", " s p "]
+        rng = np.random.default_rng(7)
+        dataset = features_dataset(rng.standard_normal((hdata.MANIFEST_CHUNK_LINES + 45, 3)) * 1e3,
+                                   lambda i: (labels[i % len(labels)] + str(i % 3), labels[(i // 3) % len(labels)]))
+        assert_writes_reference_bytes(dataset, tmp_path / "d.hem")
+        assert_same_dataset(load_manifest(tmp_path / "d.hem"), dataset)
 
 
 HARD_SHIFT = DomainShift(rotation_angle_degrees=90.0, offset_magnitude=3.0, noise_scale=0.5)

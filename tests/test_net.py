@@ -374,6 +374,24 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_bytes_match_per_value_formatting(self, tmp_path, normalize):
+        # every value formatted by `format(v, ".17g")`, over magnitudes from subnormal to the largest double
+        net = init_net(NetConfig(input_dim=6, hidden_dims=(5, 4), embed_dim=3, normalize_output=normalize), 2)
+        rng = np.random.default_rng(9)
+        net.params[:] = rng.choice([-1.0, 1.0], net.params.size) * 10.0 ** rng.uniform(-320, 308, net.params.size)
+        net.params[:4] = [0.0, -0.0, 1e-4, 0.99999999999999994]
+        net.params[-3:] = rng.standard_normal(3)
+        cfg = net.config
+        lines = ["HETERO-EMBED-NET v1", f"input_dim={cfg.input_dim}", "hidden_dims=5,4", f"embed_dim={cfg.embed_dim}",
+                 "activation=relu", f"normalize_output={str(normalize).lower()}"]
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            for name, tensor in ((f"layer{i}.weight", w), (f"layer{i}.bias", b)):
+                values = [format(v, ".17g") for v in tensor.ravel().tolist()]
+                lines.append(" ".join([name, *map(str, tensor.shape), *values]))
+        save_checkpoint(net, tmp_path / "net.ckpt")
+        assert (tmp_path / "net.ckpt").read_bytes() == ("\n".join(lines) + "\n").encode()
+
     def test_leading_byte_order_mark_dropped(self, tmp_path):
         net = init_net(NetConfig(input_dim=2, hidden_dims=(3,), embed_dim=2), 4)
         path = tmp_path / "net.ckpt"
