@@ -15,7 +15,8 @@ from itertools import islice
 
 import numpy as np
 
-from .net import ConfigError, ParseError, ShapeError, check_field, float_lines, is_finite, parse_int, text_lines
+from .net import (ConfigError, ParseError, ShapeError, check_field, float_lines, is_finite, parse_int, real_array,
+                  text_lines)
 
 MANIFEST_MAGIC = "HETERO-EMBED-DATA v1"
 # Manifest lines parsed or written per block. A read block bounds the Python
@@ -140,10 +141,10 @@ def _parse_chunk(path, lines: list[str], first_lineno: int, dim: int, first_id: 
 def save_manifest(dataset: Dataset, path) -> None:
     """Write a Dataset as a `.hem` manifest (17 significant digits, round-trip exact).
 
-    Each MANIFEST_CHUNK_LINES block is one `net.float_lines` call: the bytes
-    `"%s,%s," + " ".join(["%.17g"] * dim)` writes line by line. Raises
-    ParseError or ShapeError, before the file is opened, for an empty dataset,
-    a feature_dim or a sample `load_manifest` would reject or read back differently.
+    Each MANIFEST_CHUNK_LINES block is one `net.float_lines` call: the bytes `"%s,%s," + " ".join(["%.17g"] * dim)`
+    writes line by line. Raises ParseError or ShapeError, before the file is opened, for an empty dataset, a
+    feature_dim or a sample `load_manifest` would reject or read back differently, and `net.real_array`'s
+    ValueError for features that are not real numbers.
     """
     if not dataset.samples:
         raise ParseError("empty dataset: a manifest needs at least one data line")
@@ -164,12 +165,11 @@ def save_manifest(dataset: Dataset, path) -> None:
     dim = dataset.feature_dim
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ParseError(f"feature_dim={dim!r}, expected an integer >= 1")
-    for s in dataset.samples:
-        if np.shape(s.features) != (dim,):
-            raise ShapeError(
-                f"sample {s.id}: features of shape {np.shape(s.features)}, expected ({dim},)"
-            )
-    features = np.array([s.features for s in dataset.samples]).reshape(len(dataset), dim)
+    rows = [real_array(s.features, "features") for s in dataset.samples]
+    for s, row in zip(dataset.samples, rows):
+        if row.shape != (dim,):
+            raise ShapeError(f"sample {s.id}: features of shape {row.shape}, expected ({dim},)")
+    features = np.array(rows)
     if not np.isfinite(features).all():
         raise ParseError("non-finite feature")
     with open(path, "wb") as f:

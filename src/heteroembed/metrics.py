@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .net import ConfigError, EmbeddingNet, ShapeError, forward_batch, is_finite
+from .net import ConfigError, EmbeddingNet, ShapeError, forward_batch, is_finite, real_array
 
 # Probe x gallery entries per block in `identify` and `verification_scores`,
 # and ROC rows per block of `write_roc_csv`: bounds the temporaries, not the
@@ -27,31 +27,22 @@ FAR_LEVELS = (0.001, 0.1)
 class ScoreSet:
     """Genuine (same-identity) and impostor distances, each held sorted ascending float64.
 
-    Building one converts and sorts each array, copying neither that already
-    is sorted float64, and refuses an empty set, a NaN or a score that is not a
-    real number. The sweep's thresholds are -inf, every distinct score, then
-    +inf; at each one FAR and GAR are the shares of impostor and genuine scores
-    at or below it.
+    Building one converts (`net.real_array`) and sorts each array, copying neither
+    that already is sorted float64, and refuses an empty set or a NaN score. The
+    sweep's thresholds are -inf, every distinct score, then +inf; at each one FAR
+    and GAR are the shares of impostor and genuine scores at or below it.
     """
 
     genuine: np.ndarray
     impostor: np.ndarray
 
     def __post_init__(self):
-        arrays = []
-        for name in ("genuine", "impostor"):
-            try:
-                a = np.asarray(getattr(self, name))
-            except ValueError:  # a ragged list, refused below as an object array
-                a = np.array(None)
-            if a.dtype.kind not in "iuf":
-                raise ValueError(f"{name} scores must be real numbers, got dtype {a.dtype}")
+        for name in ("genuine", "impostor"):  # each array checked in turn: real numbers, 1-D, nonempty, no NaN
+            a = real_array(getattr(self, name), f"{name} scores")
             if a.ndim != 1:
                 raise ShapeError(f"{name} scores must be 1-D, got shape {a.shape}")
-            arrays.append(a.astype(np.float64, copy=False))
-        if min(a.size for a in arrays) == 0:
-            raise ValueError("genuine and impostor sets must be nonempty")
-        for name, a in zip(("genuine", "impostor"), arrays):
+            if a.size == 0:
+                raise ValueError("genuine and impostor sets must be nonempty")
             if not (a[1:] >= a[:-1]).all():  # a NaN compares false, so its array is sorted, NaN last
                 a = np.sort(a)
             if np.isnan(a[-1]):
@@ -94,14 +85,14 @@ class VerificationReport:
 
 def embed_dataset(net: EmbeddingNet, dataset: Dataset) -> np.ndarray:
     """Embed every sample: row i of the (n, embed_dim) result is sample i's embedding."""
-    feats = np.array([s.features for s in dataset.samples])
+    feats = real_array([s.features for s in dataset.samples], "features")
     return forward_batch(net, feats.reshape(len(dataset), dataset.feature_dim))
 
 
 def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, probes on rows."""
-    probes = np.atleast_2d(np.asarray(probes, dtype=np.float64))
-    gallery = np.atleast_2d(np.asarray(gallery, dtype=np.float64))
+    """Squared Euclidean distances, probes on rows, between arrays of real numbers (`net.real_array`'s rule)."""
+    probes = np.atleast_2d(real_array(probes, "probes"))
+    gallery = np.atleast_2d(real_array(gallery, "gallery"))
     if probes.size == 0 or gallery.size == 0:
         raise ValueError("probe and gallery sets must be nonempty")
     if probes.ndim != 2 or gallery.ndim != 2 or probes.shape[1] != gallery.shape[1]:
@@ -121,7 +112,7 @@ def _labeled_blocks(dist, probe_identities: list, gallery_identities: list):
     `blocks` yields `(rows, dist[rows], same)` over float64 row slices of about
     BLOCK entries; `same` marks the same-identity entries.
     """
-    dist = np.asarray(dist, dtype=np.float64)
+    dist = real_array(dist, "distances")
     if dist.shape != (len(probe_identities), len(gallery_identities)):
         raise ShapeError("distance matrix does not match label lists")
     codes: dict = {}

@@ -46,6 +46,18 @@ def text_lines(path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+def real_array(values, name: str) -> np.ndarray:
+    """`values` as a float64 array, copying none that already is one; it must hold real numbers (integers or
+    floats), or a ValueError names `name`: a string, complex, bool, object or ragged array is refused."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged list, refused below as an object array
+        a = np.array(None)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 # 10**k for k = -4..16, each the double nearest it and none below it: v >= _POW10[i] exactly
 # when v >= 10**(i - 4). `%.17g` writes |v| in [1e-4, 1e16) in positional notation.
 _POW10 = np.array([float(f"1e{k}") for k in range(-4, 17)])
@@ -88,7 +100,7 @@ def float_lines(prefixes: list[str], rows) -> bytes:
     table spells them into a 25-byte slot per value, whose unused bytes, and the zeros `%g`
     strips, are `_SKIP`; one `bytes.translate` drops those. `%` formats every other value in its slot.
     """
-    x = np.asarray(rows, dtype=np.float64)
+    x = real_array(rows, "rows")
     n, d = x.shape
     flat = x.ravel()
     m, a = flat.size, np.abs(flat)
@@ -255,9 +267,9 @@ def _normalize(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rows(batch, kind: str, field: str, width: int) -> np.ndarray:
-    """`batch` as 2-D float64 rows, a 1-D one as one row; a ShapeError names any other shape,
-    or a width other than `width`, which the config's `field` sets for this `kind` of rows."""
-    rows = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    """`batch` as 2-D float64 rows (`real_array`, naming them "<kind>s"), a 1-D one as one row; a ShapeError names
+    any other shape, or a width other than `width`, which the config's `field` sets for this `kind` of rows."""
+    rows = np.atleast_2d(real_array(batch, f"{kind}s"))
     if rows.ndim != 2:
         raise ShapeError(f"expected a 2-D batch of rows, got shape {rows.shape}")
     if rows.shape[1] != width:
@@ -266,14 +278,14 @@ def _rows(batch, kind: str, field: str, width: int) -> np.ndarray:
 
 
 def forward_batch(net: EmbeddingNet, inputs: np.ndarray) -> np.ndarray:
-    """Map a (n, input_dim) batch to (n, embed_dim) embeddings."""
+    """Map a (n, input_dim) batch of real numbers (`real_array`'s rule) to (n, embed_dim) embeddings."""
     inputs = _rows(inputs, "input", "input_dim", net.config.input_dim)
     h = _layers(net, inputs)[1][-1]
     return _normalize(h)[0] if net.config.normalize_output else h
 
 
 def backward(net: EmbeddingNet, inputs: np.ndarray, grad_embeddings: np.ndarray) -> np.ndarray:
-    """Gradient of sum_i <grad_i, g(x_i)> w.r.t. the parameters.
+    """Gradient of sum_i <grad_i, g(x_i)> w.r.t. the parameters; inputs and gradients are real numbers (`real_array`).
 
     Returns one flat vector laid out as `net.params`. With `normalize_output`,
     it applies the exact Jacobian of `_normalize`'s u / s: (g - <g, y> y) / s.

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heteroembed import metrics
-from heteroembed.data import Dataset, Sample
+from heteroembed.data import Dataset, Sample, save_manifest
 from heteroembed.metrics import (
     ScoreSet,
     distance_matrix,
@@ -16,7 +16,24 @@ from heteroembed.metrics import (
     verification_scores,
     write_roc_csv,
 )
-from heteroembed.net import ConfigError, NetConfig, ShapeError, forward_batch, init_net
+from heteroembed.net import (
+    ConfigError,
+    NetConfig,
+    ShapeError,
+    _rows,
+    backward,
+    float_lines,
+    forward_batch,
+    init_net,
+)
+from heteroembed.train import TrainConfig, train
+
+# Inputs that are not real numbers, each with the dtype numpy holds it in.
+NOT_REAL_NUMBERS = [
+    (["a"], "<U1"), ([1j], "complex128"), ([{}], "object"), (["0.5"], "<U3"), ([b"1"], "|S1"),
+    ([True], "bool"), ([[0.1], [0.2, 0.3]], "object"),  # ragged
+    ([10**30], "object"),  # a Python int beyond int64
+]
 
 
 # --- independent brute-force oracles ---------------------------------------
@@ -355,17 +372,78 @@ class TestScoreSet:
         assert str(info.value) == f"{side} scores must be 1-D, got shape {shape}"
 
     @pytest.mark.parametrize("side", ["genuine", "impostor"])
-    @pytest.mark.parametrize("scores,dtype", [
-        (["a"], "<U1"), ([1j], "complex128"), ([{}], "object"), (["0.5"], "<U3"), ([b"1"], "|S1"),
-        ([True], "bool"), ([[0.1], [0.2, 0.3]], "object"),  # ragged
-        ([10**30], "object"),  # a Python int beyond int64
-    ])
+    @pytest.mark.parametrize("scores,dtype", NOT_REAL_NUMBERS)
     def test_scores_not_real_numbers_refused(self, side, scores, dtype):
         sets = {"genuine": [0.1, 0.2], "impostor": [0.5]}
         sets[side] = scores
         with pytest.raises(ValueError) as info:
             ScoreSet(**sets)
         assert str(info.value) == f"{side} scores must be real numbers, got dtype {dtype}"
+
+    @pytest.mark.parametrize("genuine,message", [
+        ([], "genuine and impostor sets must be nonempty"), ([np.nan], "NaN genuine score"),
+    ])
+    def test_each_array_is_checked_whole_before_the_next(self, genuine, message):
+        # real numbers, 1-D, nonempty, no NaN: genuine's fault is named before impostor's strings
+        with pytest.raises(ValueError) as info:
+            ScoreSet(genuine, ["a"])
+        assert str(info.value) == message
+
+
+# One sample whose features are `values`: the dataset each features entry is given.
+def one_sample(values) -> Dataset:
+    return Dataset(samples=[Sample(0, "s0", "A", values)], feature_dim=len(values))
+
+
+RULE_NET = init_net(NetConfig(input_dim=1, embed_dim=2), 0)
+# Each entry that takes caller numbers, the argument `values` stands for, and the name it refuses them by.
+REAL_NUMBER_ENTRIES = {
+    "forward_batch.inputs": (lambda values, path: forward_batch(RULE_NET, values), "inputs"),
+    "backward.inputs": (lambda values, path: backward(RULE_NET, values, np.zeros((1, 2))), "inputs"),
+    "backward.gradients": (lambda values, path: backward(RULE_NET, np.zeros((1, 1)), values), "gradients"),
+    "distance_matrix.probes": (lambda values, path: distance_matrix(values, np.zeros((1, 1))), "probes"),
+    "distance_matrix.gallery": (lambda values, path: distance_matrix(np.zeros((1, 1)), values), "gallery"),
+    "identify.distances": (lambda values, path: identify(values, ["a"], ["a"]), "distances"),
+    "verification_scores.distances": (lambda values, path: verification_scores(values, ["a"], ["a"]), "distances"),
+    "embed_dataset.features": (lambda values, path: embed_dataset(RULE_NET, one_sample(values)), "features"),
+    "train.features": (
+        lambda values, path: train(one_sample(values), TrainConfig(net=NetConfig(len(values)), epochs=1)),
+        "features",
+    ),
+    "save_manifest.features": (lambda values, path: save_manifest(one_sample(values), path), "features"),
+    "float_lines.rows": (lambda values, path: float_lines(["p "], values), "rows"),
+}
+
+
+class TestRealNumberRule:
+    """Every entry that takes caller numbers converts them by `net.real_array`, so refuses the same inputs."""
+
+    @pytest.mark.parametrize("entry", list(REAL_NUMBER_ENTRIES))
+    @pytest.mark.parametrize("values,dtype", NOT_REAL_NUMBERS)
+    def test_not_real_numbers_refused_at_every_entry(self, tmp_path, entry, values, dtype):
+        call, name = REAL_NUMBER_ENTRIES[entry]
+        path = tmp_path / "d.hem"
+        with pytest.raises(ValueError) as info:
+            call(values, path)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"{name} must be real numbers, got dtype {dtype}"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.float16])
+    def test_real_inputs_give_their_float64_copies_results(self, tmp_path, dtype):
+        x = (np.random.default_rng(3).standard_normal((5, 3)) * 40).astype(dtype)
+        x64 = x.astype(np.float64)
+        net = init_net(NetConfig(input_dim=3, hidden_dims=(4,), embed_dim=2), 0)
+        assert forward_batch(net, x).tobytes() == forward_batch(net, x64).tobytes()
+        assert distance_matrix(x, x[:2]).tobytes() == distance_matrix(x64, x64[:2]).tobytes()
+        for name, rows in (("given", x), ("float64", x64)):
+            samples = [Sample(i, f"s{i}", "A", row) for i, row in enumerate(rows)]
+            save_manifest(Dataset(samples=samples, feature_dim=3), tmp_path / f"{name}.hem")
+        assert (tmp_path / "given.hem").read_bytes() == (tmp_path / "float64.hem").read_bytes()
+
+    def test_float64_batch_passes_through_as_the_callers_array(self):
+        batch = np.zeros((4, 3))
+        assert _rows(batch, "input", "input_dim", 3) is batch
 
 
 class TestRoc:
