@@ -1,11 +1,11 @@
 #!/bin/sh
 # Runs synth, train, eval and compare with one small config file, a train with
 # a tuple.k above every group's size, a synth and a train under --seed, a synth
-# whose features print in exponent notation, then a train the manifest reader
-# refuses, a synth with an empty --config and a train with --seed -4, and writes
-# their sixteen outputs (listed in the workflow's CLI_OUTPUTS) into DIR, which
-# must not exist yet. SRC is the directory that
-# holds the heteroembed package.
+# whose features print in exponent notation, a train and an eval of a network
+# without output normalization, then a train the manifest reader refuses, a
+# synth with an empty --config and a train with --seed -4, and writes their
+# nineteen outputs (listed in the workflow's CLI_OUTPUTS) into DIR, which must
+# not exist yet. SRC is the directory that holds the heteroembed package.
 # Usage: sh .github/cli-outputs.sh SRC DIR
 set -eu
 export PYTHONPATH="$(cd "$1" && pwd)"
@@ -34,6 +34,12 @@ python3 -m heteroembed.cli train --config run.cfg --seed 5 --data data.hem --out
 # to exponent notation
 { cat run.cfg; echo synth.offset_magnitude=1e20; } > far.cfg
 python3 -m heteroembed.cli synth --config far.cfg --out far.hem > /dev/null
+# no output normalization: embeddings off the unit sphere, where the distance
+# matrix's rounding is largest
+{ cat run.cfg; echo net.normalize_output=false; } > raw.cfg
+python3 -m heteroembed.cli train --config raw.cfg --data data.hem --out raw.ckpt \
+  --log-out raw.log.csv > /dev/null
+python3 -m heteroembed.cli eval --checkpoint raw.ckpt --config raw.cfg --data data.hem > raw.eval.out
 # data.hem with the last line's first feature spelled x: the exit code and the
 # error line go to refusal.out, and the failing command does not stop the script
 sed '$ s/,[^, ]* /,x /' data.hem > bad.hem

@@ -41,27 +41,39 @@ def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
+def _real(values, name: str) -> np.ndarray:
+    """`values` as an array of bools, integers or floats, its dtype kept, or a ValueError naming `name`."""
+    if (a := np.asarray(values)).dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return a
+
+
 def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
-    """(..., K, D) vectors, from an array or a list of K equal-shape vectors,
-    and the (..., K) mask of those in use: the first `count` of each set, 1 <= count <= K."""
+    """(..., K, D) vectors, from an array or a list of K equal-shape vectors, and their `_in_use` mask;
+    a set's vectors are real numbers (`_real`) and its count an integer, 1 <= count <= K."""
     try:
         vectors = np.asarray(vectors)
     except ValueError as exc:  # a ragged list
         raise ShapeError("mean_embedding over mixed dims") from exc
+    vectors = _real(vectors, "negative sets")
     if vectors.ndim < 2 or vectors.shape[-2] == 0:
         raise ValueError("mean_embedding of empty set")
-    if count is None:
-        return vectors, np.ones(vectors.shape[:-1], dtype=bool)
-    count, k = np.asarray(count), vectors.shape[-2]
-    if count.dtype.kind not in "iu":
-        raise ValueError(f"each negative set needs an integer count, got dtype {count.dtype}")
-    if count.shape != vectors.shape[:-2]:
-        raise ShapeError(f"count shape {count.shape} does not match the sets' leading shape {vectors.shape[:-2]}")
-    if (count < 1).any():
-        raise ValueError("each negative set needs a count >= 1")
-    if (count > k).any():
-        raise ValueError(f"each negative set needs a count <= K={k}, got {count.max()}")
-    return vectors, np.arange(k) < count[..., None]
+    if count is not None:
+        count, k = np.asarray(count), vectors.shape[-2]
+        if count.dtype.kind not in "iu":
+            raise ValueError(f"each negative set needs an integer count, got dtype {count.dtype}")
+        if count.shape != vectors.shape[:-2]:
+            raise ShapeError(f"count shape {count.shape} does not match the sets' leading shape {vectors.shape[:-2]}")
+        if (count < 1).any():
+            raise ValueError("each negative set needs a count >= 1")
+        if (count > k).any():
+            raise ValueError(f"each negative set needs a count <= K={k}, got {count.max()}")
+    return vectors, _in_use(vectors.shape, count)
+
+
+def _in_use(shape, count) -> np.ndarray:
+    """The (..., K) mask of a (..., K, D) stack's vectors in use: the first count[...] of each set, or all K."""
+    return np.ones(shape[:-1], dtype=bool) if count is None else np.arange(shape[-2]) < np.asarray(count)[..., None]
 
 
 def mean_embedding(vectors, count=None) -> np.ndarray:
@@ -89,12 +101,12 @@ def _hinge(anchor, pos, negs, count, margins):
     stays NaN. An inactive hinge (argument <= 0) has zero gradient; each negative
     in use receives 1/k of the mean's gradient.
     """
-    anchor, pos = np.asarray(anchor), np.asarray(pos)
+    anchor, pos = _real(anchor, "anchor"), _real(pos, "positives")
     if anchor.shape[-1:] != pos.shape[-1:]:
         raise ShapeError(f"dim mismatch {anchor.shape} vs {pos.shape}")
     a = np.broadcast_to(anchor[..., None, :], pos.shape)
-    negs, in_use = _as_set(negs, count)
-    m = mean_embedding(negs, count)
+    m = mean_embedding(negs, count)  # the one check of the sets and counts (`_as_set`)
+    in_use = _in_use(np.shape(negs), count)  # the same mask `_as_set` built, rebuilt without a check
     loss = np.maximum(0.0, _sqdist(a, pos) - _sqdist(a, m) + margins)
     on = (loss > 0)[..., None]
     d_anchor = np.where(on, 2.0 * (m - pos), 0.0)

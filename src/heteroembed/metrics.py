@@ -90,18 +90,23 @@ def embed_dataset(net: EmbeddingNet, dataset: Dataset) -> np.ndarray:
 
 
 def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, probes on rows, between arrays of real numbers (`net.real_array`'s rule)."""
+    """Squared Euclidean distances, probes on rows, between arrays of real numbers (`net.real_array`'s rule).
+
+    Entry (i, j) is |p|² + |g|² - 2·p·g for probe row p and gallery row g, from one `probes @ gallery.T` product
+    clamped at 0 in place: within 8·D·eps·(|p|² + |g|²) of the sum of squared differences (eps = 2**-52), exact
+    when every product and sum is, and for equal gallery rows equal only within that bound.
+    """
     probes = np.atleast_2d(real_array(probes, "probes"))
     gallery = np.atleast_2d(real_array(gallery, "gallery"))
     if probes.size == 0 or gallery.size == 0:
         raise ValueError("probe and gallery sets must be nonempty")
     if probes.ndim != 2 or gallery.ndim != 2 or probes.shape[1] != gallery.shape[1]:
         raise ShapeError(f"probes {probes.shape} and gallery {gallery.shape} must be 2-D with equal dims")
-    d = np.empty((probes.shape[0], gallery.shape[0]))
-    for i, p in enumerate(probes):  # one row at a time: no (P, G, D) tensor
-        diff = p - gallery
-        d[i] = np.einsum("jk,jk->j", diff, diff)
-    return d
+    d = probes @ gallery.T
+    d *= -2.0
+    d += np.einsum("ij,ij->i", probes, probes)[:, None]
+    d += np.einsum("ij,ij->i", gallery, gallery)
+    return np.maximum(d, 0.0, out=d)
 
 
 def _labeled_blocks(dist, probe_identities: list, gallery_identities: list):

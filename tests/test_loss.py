@@ -99,6 +99,17 @@ class TestMeanEmbedding:
         with pytest.raises(ShapeError, match="mixed dims"):
             mean_embedding([v(1, 0), v(1, 0, 0)])
 
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float16, np.float32])
+    def test_real_sets_are_summed_in_their_own_dtype(self, dtype):
+        x = (3 * np.random.default_rng(5).standard_normal((7, 50, 5))).astype(dtype)
+        ordered = np.sort(x.astype(np.result_type(x.dtype, 1.0)), axis=-2)  # the NaN padding's promotion only
+        total = ordered[:, 0]
+        for j in range(1, 50):
+            total = total + ordered[:, j]
+        expected = total / np.full((7, 1), 50)
+        got = mean_embedding(x)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_nan_ignored_unused_propagated_in_use(self):
         sets = np.array([[[1.0, 2.0], [3.0, np.nan], [np.nan, np.nan]]])
         np.testing.assert_array_equal(mean_embedding(sets, np.array([1])), [[1.0, 2.0]])
@@ -355,3 +366,29 @@ def hinge_args(anchor, positives, negatives, counts, margins):
     m = mean_embedding(negatives, counts)
     return [_sqdist(anchor, positives[t]) - _sqdist(anchor, m[t]) + alpha
             for t, alpha in enumerate((margins.alpha1, margins.alpha2))]
+
+
+# Dtypes that are not real numbers; the loss keeps every other dtype as it is.
+NOT_REAL_DTYPES = ["<U1", "complex128", "S1", "object"]
+LOSS_ARGUMENTS = {  # entry: (its arguments in order, with their shapes; each argument's name in the refusal)
+    "mean_embedding": (lambda vectors: mean_embedding(vectors), {"vectors": ((2, 3), "negative sets")}),
+    "hetero_loss_grad": (lambda anchor, positives, negatives: hetero_loss_grad(anchor, positives, negatives, Margins()),
+                         {"anchor": ((2, 3), "anchor"), "positives": ((2, 2, 3), "positives"),
+                          "negatives": ((2, 2, 4, 3), "negative sets")}),
+    "triplet_loss_grad": (lambda anchor, positive, negative: triplet_loss_grad(anchor, positive, negative, 0.4),
+                          {"anchor": ((3,), "anchor"), "positive": ((3,), "positives"),
+                           "negative": ((3,), "negative sets")}),
+}
+
+
+@pytest.mark.parametrize("dtype", NOT_REAL_DTYPES)
+@pytest.mark.parametrize("entry, argument", [(entry, argument) for entry, (_, args) in LOSS_ARGUMENTS.items()
+                                             for argument in args])
+def test_arrays_that_are_not_real_numbers_refused(entry, argument, dtype):
+    call, args = LOSS_ARGUMENTS[entry]
+    values = {name: np.zeros(shape) for name, (shape, _) in args.items()}
+    values[argument] = values[argument].astype(dtype)
+    with pytest.raises(ValueError) as info:
+        call(**values)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{args[argument][1]} must be real numbers, got dtype {np.dtype(dtype)}"

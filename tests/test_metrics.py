@@ -205,13 +205,49 @@ class TestDistanceMatrix:
         d = distance_matrix(np.array([0.0, 0.0]), np.array([3.0, 4.0]))
         assert d.tolist() == [[25.0]]
 
-    @pytest.mark.parametrize("shape", [(5, 7, 1), (9, 4, 8), (30, 25, 32), (11, 13, 33)])
-    def test_bit_identical_to_broadcast_form(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        p, g = rng.standard_normal(shape[::2]), rng.standard_normal(shape[1:])
+    @staticmethod
+    def broadcast_form(p, g):
         diff = p[:, None, :] - g[None, :, :]  # reference: the full (P, G, D) tensor
-        ref = np.maximum(np.einsum("ijk,ijk->ij", diff, diff), 0.0)
-        assert distance_matrix(p, g).tobytes() == ref.tobytes()
+        return np.einsum("ijk,ijk->ij", diff, diff)
+
+    @pytest.mark.parametrize("shape", [(5, 7, 1), (9, 4, 8), (30, 25, 32), (11, 13, 33)])
+    def test_within_the_stated_bound_of_the_broadcast_form(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        p = rng.standard_normal(shape[::2]) * 10.0 ** rng.uniform(-3, 3, size=(shape[0], 1))
+        g = rng.standard_normal(shape[1:]) * 10.0 ** rng.uniform(-3, 3, size=(shape[1], 1))
+        g[: shape[1] // 2] = p[: shape[1] // 2] + 1e-6 * g[: shape[1] // 2]  # near-identical rows cancel
+        bound = 8 * shape[2] * np.finfo(float).eps * (np.sum(p * p, axis=1)[:, None] + np.sum(g * g, axis=1))
+        assert (np.abs(distance_matrix(p, g) - self.broadcast_form(p, g)) <= bound).all()
+
+    @pytest.mark.parametrize("shape", [(5, 7, 1), (9, 4, 8), (30, 25, 32), (11, 13, 33)])
+    def test_bit_identical_to_broadcast_form_on_small_integers(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        p, g = (rng.integers(-8, 9, size=s).astype(float) for s in (shape[::2], shape[1:]))
+        g[0] = p[0]  # a zero distance
+        assert distance_matrix(p, g).tobytes() == self.broadcast_form(p, g).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 129, 33), (7, 9, 32), (16, 700, 8), (200, 700, 2)])
+    def test_equal_gallery_rows_agree_within_the_stated_bound(self, shape):
+        # equal rows first, in the middle, last and past 4- and 8-column tile edges: a BLAS product
+        # may round each position's dot product its own way, so they need not be bit-equal
+        rng = np.random.default_rng(sum(shape))
+        p = rng.standard_normal(shape[::2]) * 10.0 ** rng.uniform(-3, 3, size=(shape[0], 1))
+        g = rng.standard_normal(shape[1:]) * 10.0 ** rng.uniform(-3, 3, size=(shape[1], 1))
+        at = sorted({j for j in (0, 4, 8, 9, 17, shape[1] // 2, shape[1] - 1) if j < shape[1]})
+        g[at] = g[0]
+        d = distance_matrix(p, g)
+        bound = 8 * shape[2] * np.finfo(float).eps * (np.sum(p * p, axis=1) + np.sum(g[0] * g[0]))
+        assert (np.abs(d[:, at] - d[:, :1]) <= 2 * bound[:, None]).all()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identical_and_near_identical_rows_are_not_negative(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 32))
+        p = x / np.linalg.norm(x, axis=1, keepdims=True) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+        g = np.concatenate([p, np.nextafter(p, np.inf), p * (1 + 1e-12 * rng.standard_normal(p.shape))])
+        d = distance_matrix(p, g)
+        assert not np.signbit(d).any()  # no negative entry, and no -0.0
+        assert (np.diag(d) <= 8 * 32 * np.finfo(float).eps * 2 * np.sum(p * p, axis=1)).all()
 
 
 # --- identification ---------------------------------------------------------
