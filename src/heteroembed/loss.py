@@ -41,21 +41,21 @@ def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-def _real(values, name: str) -> np.ndarray:
-    """`values` as an array of bools, integers or floats, its dtype kept, or a ValueError naming `name`."""
-    if (a := np.asarray(values)).dtype.kind not in "biuf":
+def _real(values, name: str, kinds: str = "iuf") -> np.ndarray:
+    """`values` as an array of a dtype kind in `kinds`, its dtype kept, or a ValueError naming `name`."""
+    if (a := np.asarray(values)).dtype.kind not in kinds:
         raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
     return a
 
 
 def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
     """(..., K, D) vectors, from an array or a list of K equal-shape vectors, and their `_in_use` mask;
-    a set's vectors are real numbers (`_real`) and its count an integer, 1 <= count <= K."""
+    a set's vectors are bools or real numbers (`_real`) and its count an integer, 1 <= count <= K."""
     try:
         vectors = np.asarray(vectors)
     except ValueError as exc:  # a ragged list
         raise ShapeError("mean_embedding over mixed dims") from exc
-    vectors = _real(vectors, "negative sets")
+    vectors = _real(vectors, "negative sets", "biuf")  # a bool set's mean is a float, as an integer set's is
     if vectors.ndim < 2 or vectors.shape[-2] == 0:
         raise ValueError("mean_embedding of empty set")
     if count is not None:
@@ -85,9 +85,8 @@ def mean_embedding(vectors, count=None) -> np.ndarray:
     bit-identical under any permutation of a set's vectors.
     """
     stack, in_use = _as_set(vectors, count)
-    keep = in_use[..., None]
-    # Unused slots sort last as NaN (a NaN in use stays among the kept), then become -0.0, which adds nothing.
-    ordered = np.where(keep, np.sort(np.where(keep, stack, np.nan), axis=-2), -0.0)
+    # x + -0.0 is x for every x, so -0.0 in the unused slots adds nothing wherever the sort puts it
+    ordered = np.sort(np.where(in_use[..., None], stack, -0.0), axis=-2)
     # a fold adds left to right: ordered.sum(axis=-2) reorders the adds for narrow D
     return functools.reduce(np.add, np.moveaxis(ordered, -2, 0)) / in_use.sum(axis=-1)[..., None]
 

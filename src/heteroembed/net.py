@@ -336,11 +336,11 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     state.step_count += 1
     t = state.step_count
     m, v = state.first_moment, state.second_moment
-    m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-    v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= state.learning_rate * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPSILON)
 
 
 # --- checkpoint serialization ----------------------------------------------
