@@ -47,6 +47,22 @@ class Dataset:
     def domains(self) -> list[str]:
         return sorted({s.domain for s in self.samples})
 
+    def feature_rows(self) -> np.ndarray:
+        """The (len, feature_dim) float64 matrix of the features: each sample's by `net.real_array`'s rule, then each of
+        shape (feature_dim,), or a ShapeError names the first that is not. A valid dataset is converted in one call."""
+        rows = [s.features for s in self.samples]
+        with suppress(ValueError):
+            matrix = real_array(rows, "features")
+            # numpy promotes a bool sample among numbers to 0s and 1s: only such a row can hide one
+            zero_one = (matrix == 0) | (matrix == 1)
+            if matrix.shape == (len(rows), self.feature_dim) and not (zero_one.any() and zero_one.all(axis=1).any()):
+                return matrix
+        rows = [real_array(row, "features") for row in rows]
+        for s, row in zip(self.samples, rows):
+            if row.shape != (self.feature_dim,):
+                raise ShapeError(f"sample {s.id}: features of shape {row.shape}, expected ({self.feature_dim},)")
+        return np.array(rows).reshape(len(rows), self.feature_dim)
+
 
 @dataclass(frozen=True)
 class DomainShift:
@@ -143,8 +159,8 @@ def save_manifest(dataset: Dataset, path) -> None:
 
     Each MANIFEST_CHUNK_LINES block is one `net.float_lines` call: the bytes `"%s,%s," + " ".join(["%.17g"] * dim)`
     writes line by line. Raises ParseError or ShapeError, before the file is opened, for an empty dataset, a
-    feature_dim or a sample `load_manifest` would reject or read back differently, and `net.real_array`'s
-    ValueError for features that are not real numbers.
+    feature_dim or a sample `load_manifest` would reject or read back differently, and a ValueError for
+    features that are not real numbers (both by `Dataset.feature_rows`' rule).
     """
     if not dataset.samples:
         raise ParseError("empty dataset: a manifest needs at least one data line")
@@ -165,11 +181,7 @@ def save_manifest(dataset: Dataset, path) -> None:
     dim = dataset.feature_dim
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise ParseError(f"feature_dim={dim!r}, expected an integer >= 1")
-    rows = [real_array(s.features, "features") for s in dataset.samples]
-    for s, row in zip(dataset.samples, rows):
-        if row.shape != (dim,):
-            raise ShapeError(f"sample {s.id}: features of shape {row.shape}, expected ({dim},)")
-    features = np.array(rows)
+    features = dataset.feature_rows()
     if not np.isfinite(features).all():
         raise ParseError("non-finite feature")
     with open(path, "wb") as f:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net import ConfigError, ShapeError, check_field
+from .net import ConfigError, ShapeError, check_field, real_array
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,9 @@ def _sqdist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-def _real(values, name: str, kinds: str = "iuf") -> np.ndarray:
-    """`values` as an array of a dtype kind in `kinds`, its dtype kept, or a ValueError naming `name`."""
-    if (a := np.asarray(values)).dtype.kind not in kinds:
-        raise ValueError(f"{name} must be real numbers, got dtype {a.dtype}")
-    return a
-
-
 def _as_set(vectors, count=None) -> tuple[np.ndarray, np.ndarray]:
-    """(..., K, D) vectors, from an array or a list of K equal-shape vectors, and their `_in_use` mask;
-    a set's vectors are bools or real numbers (`_real`) and its count an integer, 1 <= count <= K."""
-    try:
-        vectors = np.asarray(vectors)
-    except ValueError as exc:  # a ragged list
-        raise ShapeError("mean_embedding over mixed dims") from exc
-    vectors = _real(vectors, "negative sets", "biuf")  # a bool set's mean is a float, as an integer set's is
+    """(..., K, D) float64 vectors (`net.real_array`) and their `_in_use` mask; each count an integer in [1, K]."""
+    vectors = real_array(vectors, "negative sets")
     if vectors.ndim < 2 or vectors.shape[-2] == 0:
         raise ValueError("mean_embedding of empty set")
     if count is not None:
@@ -77,7 +65,7 @@ def _in_use(shape, count) -> np.ndarray:
 
 
 def mean_embedding(vectors, count=None) -> np.ndarray:
-    """Component-wise mean of each nonempty set of equal-dim vectors.
+    """Component-wise mean of each nonempty set of equal-dim vectors, from their float64 copies (`net.real_array`).
 
     `vectors` is (..., K, D) or a list of K vectors; with `count`, only the
     first count[...] vectors of each set take part. Each component is summed
@@ -100,7 +88,7 @@ def _hinge(anchor, pos, negs, count, margins):
     stays NaN. An inactive hinge (argument <= 0) has zero gradient; each negative
     in use receives 1/k of the mean's gradient.
     """
-    anchor, pos = _real(anchor, "anchor"), _real(pos, "positives")
+    anchor, pos = real_array(anchor, "anchor"), real_array(pos, "positives")
     if anchor.shape[-1:] != pos.shape[-1:]:
         raise ShapeError(f"dim mismatch {anchor.shape} vs {pos.shape}")
     a = np.broadcast_to(anchor[..., None, :], pos.shape)
@@ -117,8 +105,8 @@ def _hinge(anchor, pos, negs, count, margins):
 
 def triplet_loss_grad(anchor, positive, negative, alpha: float):
     """Loss and subgradients (val, d_a, d_p, d_n) of the single-negative baseline: one term, one negative."""
-    val, d_a, d_p, d_n = _hinge(anchor, np.asarray(positive)[..., None, :],
-                                np.asarray(negative)[..., None, None, :], None, alpha)
+    positive, negative = real_array(positive, "positives"), real_array(negative, "negative sets")
+    val, d_a, d_p, d_n = _hinge(anchor, positive[..., None, :], negative[..., None, None, :], None, alpha)
     return val[..., 0], d_a[..., 0, :], d_p[..., 0, :], d_n[..., 0, 0, :]
 
 

@@ -84,9 +84,8 @@ class VerificationReport:
 
 
 def embed_dataset(net: EmbeddingNet, dataset: Dataset) -> np.ndarray:
-    """Embed every sample: row i of the (n, embed_dim) result is sample i's embedding."""
-    feats = real_array([s.features for s in dataset.samples], "features")
-    return forward_batch(net, feats.reshape(len(dataset), dataset.feature_dim))
+    """Embed every sample: row i of the (n, embed_dim) result is sample i's embedding (`Dataset.feature_rows`)."""
+    return forward_batch(net, dataset.feature_rows())
 
 
 def distance_matrix(probes: np.ndarray, gallery: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from .net import (
     forward_batch,
     init_net,
     is_finite,
-    real_array,
 )
 from .sampler import SampledTuple, TupleSpec, build_index, epoch_tuples
 
@@ -129,7 +128,7 @@ def _batch_step(net: EmbeddingNet, features: np.ndarray, slots: np.ndarray, marg
 def train(dataset: Dataset, config: TrainConfig) -> tuple[EmbeddingNet, TrainingLog]:
     """Train an embedding network on the given dataset; distinct sample ids order the sampler's rows."""
     index = build_index(dataset)
-    features = real_array([s.features for s in dataset.samples], "features")
+    features = dataset.feature_rows()
     net = init_net(config.net, config.seed)
     sampler_rng = np.random.default_rng([config.seed, 1])
     state = AdamState(learning_rate=config.learning_rate)

@@ -436,6 +436,36 @@ class TestSaveManifest:
         assert (sample.identity, sample.domain) == (identity, domain)
 
 
+_rng = np.random.default_rng(6)
+VALID_ROWS = {  # each case's rows: `Dataset.feature_rows` gives their float64 copies, stacked
+    "float64": list(_rng.standard_normal((5, 3))),
+    "zero_and_one_rows": [np.zeros(3), np.ones(3), -np.ones(3), _rng.standard_normal(3)],
+    "integers": list(_rng.integers(-9, 9, (4, 3), dtype=np.int32)),
+    "mixed_dtypes": [np.arange(3), _rng.standard_normal(3).astype(np.float32), _rng.standard_normal(3)],
+    "lists": [[0.5, 1, -2.0], [True, 2.0, 3.0]],  # a list of a bool and numbers is numbers
+}
+
+
+class TestFeatureRows:
+    @pytest.mark.parametrize("case", list(VALID_ROWS))
+    def test_rows_are_their_float64_copies_stacked(self, case):
+        rows = VALID_ROWS[case]
+        matrix = Dataset([Sample(i, f"s{i}", "A", row) for i, row in enumerate(rows)], 3).feature_rows()
+        expected = np.array([np.asarray(row, dtype=np.float64) for row in rows])
+        assert matrix.dtype == np.float64 and matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_valid_dataset_converted_in_one_call(self):
+        dataset = features_dataset(_rng.standard_normal((50, 4)))
+        with mock.patch.object(hdata, "real_array", wraps=hdata.real_array) as real_array:
+            dataset.feature_rows()
+        assert real_array.call_count == 1
+
+    def test_empty_dataset_gives_no_rows(self):
+        matrix = Dataset(samples=[], feature_dim=4).feature_rows()
+        assert matrix.dtype == np.float64 and matrix.shape == (0, 4)
+
+
 def features_dataset(features, labels=lambda i: (f"s{i}", "A")) -> Dataset:
     """One sample per row of the 2-D `features`, labelled by `labels(row index)`."""
     features = np.asarray(features, dtype=np.float64)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from heteroembed import metrics
 from heteroembed.data import Dataset, Sample, save_manifest
+from heteroembed.loss import Margins, hetero_loss_grad, mean_embedding, triplet_loss_grad
 from heteroembed.metrics import (
     ScoreSet,
     distance_matrix,
@@ -448,6 +449,16 @@ REAL_NUMBER_ENTRIES = {
     ),
     "save_manifest.features": (lambda values, path: save_manifest(one_sample(values), path), "features"),
     "float_lines.rows": (lambda values, path: float_lines(["p "], values), "rows"),
+    "mean_embedding.vectors": (lambda values, path: mean_embedding(values), "negative sets"),
+    "hetero_loss_grad.anchor": (
+        lambda values, path: hetero_loss_grad(values, np.zeros((2, 1)), np.zeros((2, 1, 1)), Margins()), "anchor"),
+    "hetero_loss_grad.positives": (
+        lambda values, path: hetero_loss_grad(np.zeros(1), values, np.zeros((2, 1, 1)), Margins()), "positives"),
+    "hetero_loss_grad.negatives": (
+        lambda values, path: hetero_loss_grad(np.zeros(1), np.zeros((2, 1)), values, Margins()), "negative sets"),
+    "triplet_loss_grad.anchor": (lambda values, path: triplet_loss_grad(values, [0.0], [0.0], 0.4), "anchor"),
+    "triplet_loss_grad.positive": (lambda values, path: triplet_loss_grad([0.0], values, [0.0], 0.4), "positives"),
+    "triplet_loss_grad.negative": (lambda values, path: triplet_loss_grad([0.0], [0.0], values, 0.4), "negative sets"),
 }
 
 
@@ -476,10 +487,48 @@ class TestRealNumberRule:
             samples = [Sample(i, f"s{i}", "A", row) for i, row in enumerate(rows)]
             save_manifest(Dataset(samples=samples, feature_dim=3), tmp_path / f"{name}.hem")
         assert (tmp_path / "given.hem").read_bytes() == (tmp_path / "float64.hem").read_bytes()
+        # margins wide enough that every hinge is active, so every gradient is compared
+        for loss in (lambda y: [mean_embedding(y)],
+                     lambda y: hetero_loss_grad(y[0], y[1:3], np.stack([y[1:], y[:4]]), Margins(1e7, 1e7)),
+                     lambda y: triplet_loss_grad(y[0], y[1], y[2], 1e7)):
+            assert [r.tobytes() for r in loss(x)] == [r.tobytes() for r in loss(x64)]
 
     def test_float64_batch_passes_through_as_the_callers_array(self):
         batch = np.zeros((4, 3))
         assert _rows(batch, "input", "input_dim", 3) is batch
+
+
+# Datasets of three samples whose features break `Dataset.feature_rows`' rule: (features, feature_dim, error, message).
+_rng = np.random.default_rng(4)
+FAULTY_ROWS = {
+    "one_misshaped_sample": ([_rng.standard_normal(2), _rng.standard_normal(3), _rng.standard_normal(2)], 2,
+                             ShapeError, "sample 1: features of shape (3,), expected (2,)"),
+    "scalar_features": ([np.float64(x) for x in (1.5, 2.5, 3.5)], 1,
+                        ShapeError, "sample 0: features of shape (), expected (1,)"),
+    "no_row_of_feature_dim": ([_rng.standard_normal(3) for _ in range(3)], 2,
+                              ShapeError, "sample 0: features of shape (3,), expected (2,)"),
+    "bool_sample_among_numbers": ([_rng.standard_normal(2), np.array([True, False]), _rng.standard_normal(2)], 2,
+                                  ValueError, "features must be real numbers, got dtype bool"),
+    "real_numbers_checked_before_shapes": ([_rng.standard_normal(3), np.array(["a", "b"]), _rng.standard_normal(2)], 2,
+                                           ValueError, "features must be real numbers, got dtype <U1"),
+}
+FEATURE_ROWS_ENTRIES = {
+    "save_manifest": lambda dataset, path: save_manifest(dataset, path),
+    "train": lambda dataset, path: train(dataset, TrainConfig(net=NetConfig(dataset.feature_dim), epochs=1)),
+    "embed_dataset": lambda dataset, path: embed_dataset(init_net(NetConfig(dataset.feature_dim), 0), dataset),
+}
+
+
+@pytest.mark.parametrize("entry", list(FEATURE_ROWS_ENTRIES))
+@pytest.mark.parametrize("case", list(FAULTY_ROWS))
+def test_every_entry_reads_a_datasets_rows_by_one_rule(tmp_path, entry, case):
+    features, feature_dim, error, message = FAULTY_ROWS[case]
+    dataset = Dataset([Sample(i, f"s{i}", "A", row) for i, row in enumerate(features)], feature_dim)
+    path = tmp_path / "d.hem"
+    with pytest.raises(ValueError) as info:
+        FEATURE_ROWS_ENTRIES[entry](dataset, path)
+    assert type(info.value) is error and str(info.value) == message
+    assert not path.exists()
 
 
 class TestRoc:
